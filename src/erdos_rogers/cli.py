@@ -3,9 +3,9 @@
 Exit codes: 0 success / audit pass, 1 audit fail (witness printed),
 2 usage or file-format error, 3 construction precondition failure
 (witness on stderr).  Budgets are given in milliseconds and converted to
-deterministic step counts, so equal seeds give byte-identical outputs
-regardless of machine speed.  Set REQUIRE_SEED=1 to make every randomized
-command demand an explicit --seed.
+deterministic node counts at a fixed rate per engine, so equal seeds give
+byte-identical outputs regardless of machine speed.  Set REQUIRE_SEED=1 to
+make every randomized command demand an explicit --seed.
 """
 
 import argparse
@@ -47,7 +47,19 @@ from .search import (
 )
 from .subgraph import contains_subgraph
 
-STEPS_PER_MS = 20_000
+# Search nodes per millisecond of each engine, the rate at which --budget-ms
+# becomes a node budget.  Measured by `python3 bench/run.py --trace 1 --seed 1`
+# on a 2-vCPU x86-64 VM with Python 3.11: search.max_f_free_subset.nodes_per_ms
+# on ffree-search (135,916 nodes; a second run read 43, exact-oracle 65);
+# max_independent_set nodes per ms of self time on girth-clones (67 nodes in
+# 0.88 ms, the only workload that calls it); contains_subgraph nodes per ms
+# of self time on ffree-search (1,089,102 nodes in 2.19 s; a second run read
+# 379, exact-oracle 238).
+NODES_PER_MS = {
+    "max_f_free_subset": 56,
+    "max_independent_set": 76,
+    "contains_subgraph": 497,
+}
 
 _NAMED_HINT = "a named pattern (k2..k6, p3, p4, c4..c7, k22, k33, petersen, wagner) or a graph file"
 
@@ -101,9 +113,10 @@ def _seed_of(args):
     return 0 if args.seed is None else args.seed
 
 
-def _budget_of(args):
+def _budget_of(args, engine):
+    """Node budget of --budget-ms for the engine the command drives."""
     ms = getattr(args, "budget_ms", None)
-    return DEFAULT_SET_BUDGET if ms is None else max(1, int(ms * STEPS_PER_MS))
+    return DEFAULT_SET_BUDGET if ms is None else max(1, int(ms * NODES_PER_MS[engine]))
 
 
 def _emit(cert_path, cert, manifest_path, args, seed, inputs, outputs, started):
@@ -248,15 +261,15 @@ def cmd_verify_girth(args):
 def cmd_verify_subgraph_free(args):
     host = read_graph(args.file)
     pattern = _load_pattern(args.pattern)
-    res = contains_subgraph(host, pattern, budget=_budget_of(args))
+    res = contains_subgraph(host, pattern, budget=_budget_of(args, "contains_subgraph"))
     if res.status == "absent":
-        print("pass: subgraph-free")
+        print(f"pass: subgraph-free nodes={res.nodes}")
         return 0
     if res.status == "found":
-        print("fail: subgraph-free")
+        print(f"fail: subgraph-free nodes={res.nodes}")
         print(json.dumps({"embedding": list(res.embedding)}))
         return 1
-    print("fail: subgraph-free (budget exhausted, undecided)")
+    print(f"fail: subgraph-free (budget exhausted, undecided) nodes={res.nodes}")
     print(json.dumps({"status": "unknown", "nodes": res.nodes}))
     return 1
 
@@ -268,11 +281,11 @@ def cmd_verify_subgraph_free(args):
 def cmd_search_independent_set(args):
     started = time.monotonic()
     g = read_graph(args.infile)
-    res = max_independent_set(g, budget=_budget_of(args))
+    res = max_independent_set(g, budget=_budget_of(args, "max_independent_set"))
     ms = int((time.monotonic() - started) * 1000)
     print(f"{res.size} {res.status}")
     print(f"id={args.infile} size={res.size} status={res.status} "
-          f"set={sorted(res.vertex_set.members())} verified=pass runtime_ms={ms}")
+          f"set={sorted(res.vertex_set.members())} nodes={res.nodes} verified=pass runtime_ms={ms}")
     return 0
 
 
@@ -280,11 +293,11 @@ def cmd_search_max_ffree(args):
     started = time.monotonic()
     g = read_graph(args.infile)
     pattern = _load_pattern(args.f)
-    res = max_f_free_subset(g, pattern, budget=_budget_of(args))
+    res = max_f_free_subset(g, pattern, budget=_budget_of(args, "max_f_free_subset"))
     ms = int((time.monotonic() - started) * 1000)
     print(f"{res.size} {res.status}")
     print(f"id={args.infile} size={res.size} status={res.status} "
-          f"set={sorted(res.vertex_set.members())} verified=pass runtime_ms={ms}")
+          f"set={sorted(res.vertex_set.members())} nodes={res.nodes} verified=pass runtime_ms={ms}")
     return 0
 
 
@@ -348,7 +361,8 @@ def cmd_pipeline_ckfree(args):
     started = time.monotonic()
     g = read_graph(args.infile)
     seed = _seed_of(args)
-    vs, cert = ckfree_subset(g, args.k, SeededRng(seed, "ckfree"), budget=_budget_of(args))
+    vs, cert = ckfree_subset(g, args.k, SeededRng(seed, "ckfree"),
+                             budget=_budget_of(args, "max_independent_set"))
     ms = int((time.monotonic() - started) * 1000)
     if args.cert:
         cert.write(args.cert)
@@ -362,7 +376,8 @@ def cmd_pipeline_ksfree(args):
     started = time.monotonic()
     g = read_graph(args.infile)
     seed = _seed_of(args)
-    vs, cert = ksfree_recursion(g, args.s, args.k, SeededRng(seed, "ksfree"), budget=_budget_of(args))
+    vs, cert = ksfree_recursion(g, args.s, args.k, SeededRng(seed, "ksfree"),
+                                budget=_budget_of(args, "max_independent_set"))
     ms = int((time.monotonic() - started) * 1000)
     if args.cert:
         cert.write(args.cert)
@@ -391,10 +406,12 @@ def cmd_oracle_brute_force_f(args):
     f = _load_pattern(args.f)
     g = _load_pattern(args.g)
     res = brute_force_f(f, g, args.n, budget=args.budget)
-    print(res.value)
-    if not res.exact:
-        print("inexact: enumeration budget exhausted", file=sys.stderr)
-    return 0
+    if res.exact:
+        print(res.value)
+        return 0
+    why = f"enumeration budget exhausted at level {len(res.level_counts)}"
+    print(f"unknown ({why})" if res.value is None else f"at most {res.value} ({why})")
+    return 1
 
 
 # ---------------------------------------------------------------------------

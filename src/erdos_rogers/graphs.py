@@ -97,6 +97,10 @@ class Graph:
     def row(self, v):
         return self._rows[v]
 
+    def rows(self):
+        """All adjacency rows, as a tuple indexed by vertex."""
+        return self._rows
+
     def has_edge(self, u, v):
         return (self._rows[u] >> v) & 1 == 1
 

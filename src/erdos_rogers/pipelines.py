@@ -26,8 +26,8 @@ from .graphs import (
     VertexSet,
     bits,
     complete_graph,
+    cycle_graph,
     has_cycle,
-    induced_subgraph,
     induced_subgraph_with_map,
     is_biconnected,
     is_clique,
@@ -69,9 +69,9 @@ def _require_absent(host, pattern, what):
 
 
 def _has_k_cycle(g, mask, k):
-    sub = induced_subgraph(g, mask)
-    found, _ = list_k_cycles(sub, k, cap=1)
-    return bool(found)
+    """Does the subgraph induced on mask contain a k-cycle?  The audit runs
+    without a node budget: it must decide, whatever the input size."""
+    return contains_subgraph(g, cycle_graph(k), budget=math.inf, within=mask).found
 
 
 def _measure_ffree(host, pattern, budget):
@@ -891,18 +891,25 @@ def gfree_graph_reps(g_pattern, n, budget=None):
 
 def brute_force_f(f_pattern, g_pattern, n, budget=None):
     """Exact f_{F,G}(n) for n <= 8: the minimum over all g-free graphs on n
-    vertices (up to isomorphism) of the maximum f-free induced subset."""
+    vertices (up to isomorphism) of the maximum f-free induced subset.
+
+    When the enumeration budget runs out below n vertices, the value is
+    None: a minimum over smaller graphs says nothing about n.  When it runs
+    out inside level n, the value is an upper bound, the minimum over the
+    n-vertex graphs seen.  exact is False in both cases."""
     if f_pattern.m < 1:
         raise InputError("f needs at least one edge")
     if n > 8:
         raise InputError("n <= 8 only; enumeration is exact desk scale")
     reps, exact, counts = gfree_graph_reps(g_pattern, n, budget=budget)
+    if len(counts) < n:
+        return BruteForceResult(None, False, len(reps), counts, [])
     best = None
     witness = None
     for h in reps:
         res = max_f_free_subset(h, f_pattern)
         if res.status != "optimal":
-            exact = False
+            raise SelfCheckError("subset search ran out of budget on a graph of at most 8 vertices")
         if best is None or res.size < best:
             best, witness = res.size, h
     return BruteForceResult(

@@ -12,7 +12,7 @@ import math
 from itertools import combinations
 
 from .errors import InputError, SelfCheckError
-from .graphs import VertexSet, as_mask, bits, induced_subgraph
+from .graphs import VertexSet, as_mask, bits
 from .hypergraphs import Hypergraph
 from .subgraph import contains_subgraph
 
@@ -117,17 +117,10 @@ def max_independent_set(g, budget=DEFAULT_SET_BUDGET):
 
 
 def _is_f_free(host, sub_mask, pattern, new_vertex=None):
-    """Does the induced subgraph on sub_mask avoid pattern copies?  With
+    """Does the subgraph induced on sub_mask avoid pattern copies?  With
     new_vertex set, only copies through that vertex are checked (valid for
     incremental growth of an already pattern-free set)."""
-    members = tuple(bits(sub_mask))
-    if len(members) < pattern.n:
-        return True
-    index = {v: i for i, v in enumerate(members)}
-    sub = induced_subgraph(host, sub_mask)
-    if new_vertex is None:
-        return contains_subgraph(sub, pattern).status == "absent"
-    res = contains_subgraph(sub, pattern, forced_vertex=index[new_vertex])
+    res = contains_subgraph(host, pattern, forced_vertex=new_vertex, within=sub_mask)
     if res.status == "unknown":
         raise SelfCheckError("pattern check exceeded its budget on a desk-size input")
     return res.status == "absent"

@@ -1,14 +1,31 @@
-"""Budgeted subgraph-copy search.
+"""Budgeted subgraph-copy search, in place under a vertex mask.
 
 contains_subgraph looks for a (not necessarily induced) copy of a pattern
-inside a host: an injective map sending pattern edges to host edges.  The
-search is backtracking with bit-row candidate pruning; pattern vertices
-are placed in descending-degree order (preferring vertices with already
-placed neighbors) and host candidates are tried in ascending degree.  A
-node budget makes "unknown" a first-class outcome: the search never lies
+inside a host: an injective map sending pattern edges to host edges.  With
+within=mask only the host vertices in the mask may be used, so a copy inside
+an induced subgraph is found without building that subgraph; with
+forced_vertex=v only copies through v count.  This is the one containment
+core: F-free subset search, the C_k audits of the pipelines, the exact
+oracle's augmentation and every whole-host scan call it.
+
+The search is backtracking over bit rows.  A pattern vertex's candidates are
+the common neighbors of its already placed pattern neighbors, inside the
+mask and not yet used, and a candidate needs at least the pattern vertex's
+degree inside the mask.  Pattern vertices are placed in a static order: the
+max-degree vertex first (or, with a forced vertex, each pattern vertex in
+turn as the anchor placed on it), then repeatedly the vertex with most
+placed neighbors, ties to higher degree then lower index.  Those placement
+plans depend only on the pattern, so they are computed once per pattern and
+kept in a small LRU cache keyed on the (immutable, hashable) Graph.
+
+Whole-host scans (within=None) try host candidates in ascending (degree,
+index) order, which fixes the embedding they report as a witness; masked
+scans, whose callers read only found/absent, take candidates in index order.
+A node budget makes "unknown" a first-class outcome: the search never lies
 about exhaustiveness.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import InputError, SelfCheckError
@@ -65,92 +82,103 @@ def _pattern_order(pattern, first=None):
     return order
 
 
-def _verify_embedding(host, pattern, mapping):
+@lru_cache(maxsize=64)
+def _placement_plans(pattern, anchored):
+    """The unforced placement plan of a pattern, or with `anchored` one plan
+    per pattern vertex placed first.  A plan is (order, steps): step i holds
+    the earlier steps that place pattern neighbors of order[i], and the
+    degree of order[i]."""
+    plans = []
+    for first in range(pattern.n) if anchored else (None,):
+        order = tuple(_pattern_order(pattern, first))
+        step_of = {p: i for i, p in enumerate(order)}
+        steps = tuple(
+            (tuple(step_of[q] for q in bits(pattern.row(p)) if step_of[q] < i), pattern.degree(p))
+            for i, p in enumerate(order)
+        )
+        plans.append((order, steps))
+    return tuple(plans)
+
+
+def _verify_embedding(host, pattern, mapping, within, forced_vertex):
     if len(set(mapping)) != pattern.n:
         raise SelfCheckError("embedding is not injective")
     for u, v in pattern.edges():
         if not host.has_edge(mapping[u], mapping[v]):
             raise SelfCheckError("embedding does not preserve an edge")
+    if any(not (within >> v) & 1 for v in mapping):
+        raise SelfCheckError("embedding leaves the vertex mask")
+    if forced_vertex is not None and forced_vertex not in mapping:
+        raise SelfCheckError("embedding misses the forced vertex")
 
 
-def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None):
+def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, within=None):
     """Search for a copy of pattern in host.
 
     Returns SubgraphResult with a verified embedding tuple (pattern vertex
-    i -> host vertex embedding[i]) on "found".  With forced_vertex set, only
-    embeddings whose image contains that host vertex are considered.  The
-    budget counts candidate placements; exhausting it yields "unknown".
+    i -> host vertex embedding[i]) on "found".  With within set (a vertex
+    bitmask; None means the whole host), only host vertices in the mask are
+    used, as if searching the induced subgraph on it.  With forced_vertex
+    set (a vertex of the mask), only embeddings whose image contains that
+    host vertex are considered.  The budget counts candidate placements;
+    exhausting it yields "unknown".
     """
     if pattern.n < 1:
         raise InputError("pattern needs at least one vertex")
-    if pattern.n > host.n:
+    if within is None:
+        within = host.full_mask()
+        ranked = sorted(range(host.n), key=lambda v: (host.degree(v), v))
+    elif within >> host.n:
+        raise InputError("vertex mask names a vertex outside the host")
+    else:
+        ranked = None
+    if forced_vertex is not None and not (within >> forced_vertex) & 1:
+        raise InputError("forced vertex lies outside the vertex mask")
+    if pattern.n > within.bit_count():
         return SubgraphResult("absent")
 
-    host_by_degree = sorted(range(host.n), key=lambda v: (host.degree(v), v))
+    rows = host.rows()
+    start = within if forced_vertex is None else 1 << forced_vertex
     nodes = 0
 
-    def search(order):
-        pat_deg = [pattern.degree(p) for p in order]
-        image = [-1] * pattern.n
-        used = 0
-
-        def place(i):
-            nonlocal nodes, used
-            if i == len(order):
+    def place(steps, image, i, used):
+        nonlocal nodes
+        earlier, need = steps[i]
+        allowed = start if i == 0 else within & ~used
+        for j in earlier:
+            allowed &= rows[image[j]]
+        if ranked is None:
+            candidates = bits(allowed)
+        else:
+            candidates = [v for v in ranked if (allowed >> v) & 1]
+        last = i + 1 == len(steps)
+        for v in candidates:
+            if (rows[v] & within).bit_count() < need:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return None
+            image[i] = v
+            if last:
                 return True
-            p = order[i]
-            allowed = None
-            for q in bits(pattern.row(p)):
-                if image[q] >= 0:
-                    r = host.row(image[q])
-                    allowed = r if allowed is None else (allowed & r)
-            if forced_vertex is not None and i == 0:
-                candidates = (forced_vertex,)
-            elif allowed is None:
-                candidates = host_by_degree
-            else:
-                allowed &= ~used
-                candidates = [v for v in host_by_degree if (allowed >> v) & 1]
-            for v in candidates:
-                if (used >> v) & 1:
-                    continue
-                if host.degree(v) < pat_deg[i]:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    return None
-                image[p] = v
-                used |= 1 << v
-                sub = place(i + 1)
-                if sub:
-                    return True
-                image[p] = -1
-                used &= ~(1 << v)
-                if sub is None:
-                    return None
-            return False
+            sub = place(steps, image, i + 1, used | (1 << v))
+            if sub is not False:
+                return sub
+        return False
 
-        return place(0), image
-
-    if forced_vertex is None:
-        ok, image = search(_pattern_order(pattern))
+    for order, steps in _placement_plans(pattern, forced_vertex is not None):
+        image = [-1] * pattern.n
+        ok = place(steps, image, 0, 0)
         if ok:
-            mapping = tuple(image)
-            _verify_embedding(host, pattern, mapping)
-            return SubgraphResult("found", mapping, nodes)
-        return SubgraphResult("absent" if ok is False else "unknown", None, nodes)
-
-    # forced vertex: try anchoring each pattern vertex on it
-    exhausted = False
-    for p0 in range(pattern.n):
-        ok, image = search(_pattern_order(pattern, first=p0))
-        if ok:
-            mapping = tuple(image)
-            _verify_embedding(host, pattern, mapping)
+            mapping = [-1] * pattern.n
+            for p, v in zip(order, image):
+                mapping[p] = v
+            mapping = tuple(mapping)
+            _verify_embedding(host, pattern, mapping, within, forced_vertex)
             return SubgraphResult("found", mapping, nodes)
         if ok is None:
-            exhausted = True
-    return SubgraphResult("unknown" if exhausted else "absent", None, nodes)
+            return SubgraphResult("unknown", None, nodes)
+    return SubgraphResult("absent", None, nodes)
 
 
 def exhaustive_contains(host, pattern):

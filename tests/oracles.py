@@ -25,12 +25,15 @@ def brute_mis(g):
     return go((1 << g.n) - 1)
 
 
-def perm_contains(host, pattern):
-    """Subgraph containment by trying every injection of the pattern."""
+def perm_contains(host, pattern, through=None):
+    """Subgraph containment by trying every injection of the pattern; with
+    through set, only injections whose image holds that host vertex."""
     if pattern.n > host.n:
         return False
     pedges = list(pattern.edges())
     for combo in itertools.permutations(range(host.n), pattern.n):
+        if through is not None and through not in combo:
+            continue
         if all(host.has_edge(combo[a], combo[b]) for a, b in pedges):
             return True
     return False

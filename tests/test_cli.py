@@ -31,6 +31,16 @@ def test_oracle_accepts_named_patterns(capsys):
     assert code == 0 and out.splitlines()[0] == "1"
 
 
+def test_oracle_budget_below_n_prints_no_value(capsys):
+    # 50 candidates reach only 5-vertex graphs, whose minimum (4) is not
+    # f_{K2,K3}(7) = 3
+    code, out, _ = run(
+        ["oracle", "brute-force-f", "--f", "k2", "--g", "k3", "--n", "7", "--budget", "50"], capsys
+    )
+    assert code == 1
+    assert out == "unknown (enumeration budget exhausted at level 5)\n"
+
+
 def test_search_max_ffree_summary(tmp_path, capsys):
     c5 = str(tmp_path / "c5.g")
     write_graph(c5, named_graph("c5"))
@@ -39,6 +49,7 @@ def test_search_max_ffree_summary(tmp_path, capsys):
     first, summary = out.splitlines()
     assert first == "3 optimal"
     assert f"id={c5}" in summary and "status=optimal" in summary
+    assert " nodes=" in summary
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -46,6 +57,7 @@ def test_verify_exit_codes(tmp_path, capsys):
     write_graph(c5, named_graph("c5"))
     code, out, _ = run(["verify", "subgraph-free", c5, "--pattern", "k3"], capsys)
     assert code == 0 and out.startswith("pass")
+    assert " nodes=" in out
     code, out, _ = run(["verify", "subgraph-free", c5, "--pattern", "c5"], capsys)
     assert code == 1
     assert "fail" in out
