@@ -17,23 +17,12 @@ from .graphs import Graph, VertexSet, as_mask, bits
 
 
 class BlowupColoring:
-    """The per-clique color maps of one random blowup, with seed record."""
+    """The per-clique color maps of one random blowup."""
 
-    __slots__ = ("pattern", "colorings", "seed_record")
+    __slots__ = ("colorings",)
 
-    def __init__(self, pattern, colorings, seed_record):
-        self.pattern = pattern
+    def __init__(self, colorings):
         self.colorings = tuple(colorings)  # one dict per clique: vertex -> color
-        self.seed_record = seed_record
-
-    def to_json_dict(self):
-        return {
-            "pattern": {"n": self.pattern.n, "edges": [list(e) for e in self.pattern.edges()]},
-            "colorings": [
-                {str(v): c for v, c in sorted(col.items())} for col in self.colorings
-            ],
-            "seed_record": dict(self.seed_record),
-        }
 
     def __repr__(self):
         return f"BlowupColoring(cliques={len(self.colorings)})"
@@ -60,20 +49,7 @@ def random_blowup(cover, pattern, rng):
         if pattern.has_edge(col[u], col[v]):
             kept.append((u, v))
     out = Graph(cover.host.n, kept)
-    return out, BlowupColoring(pattern, colorings, rng.state())
-
-
-def replay_blowup(cover, coloring):
-    """Re-derive the blowup edge set from a serialized coloring (third-party
-    check that the published coloring really yields the published graph)."""
-    edge_map = cover.edge_clique_map()
-    pattern = coloring.pattern
-    kept = []
-    for (u, v), i in edge_map.items():
-        col = coloring.colorings[i]
-        if pattern.has_edge(col[u], col[v]):
-            kept.append((u, v))
-    return Graph(cover.host.n, kept)
+    return out, BlowupColoring(colorings)
 
 
 class FailureBound:
@@ -242,28 +218,3 @@ def is_hom_free(pattern, source):
         return (False, tuple(image))
     return (True, None)
 
-
-class PatternPair:
-    """A pattern pair (F, G) with the feasibility flags the pipelines need,
-    computed once and cached."""
-
-    __slots__ = ("F", "G", "f_triangle_free", "f_hom_g_free", "g_two_connected", "g_is_clique")
-
-    def __init__(self, F, G):
-        from .graphs import complete_graph, is_biconnected, is_clique
-        from .subgraph import contains_subgraph
-
-        self.F = F
-        self.G = G
-        self.f_triangle_free = contains_subgraph(F, complete_graph(3)).status == "absent"
-        self.f_hom_g_free = is_hom_free(F, G)[0]
-        self.g_two_connected = is_biconnected(G)
-        self.g_is_clique = is_clique(G)
-
-    def as_dict(self):
-        return {
-            "f_triangle_free": self.f_triangle_free,
-            "f_hom_g_free": self.f_hom_g_free,
-            "g_two_connected": self.g_two_connected,
-            "g_is_clique": self.g_is_clique,
-        }

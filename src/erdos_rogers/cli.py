@@ -9,12 +9,13 @@ make every randomized command demand an explicit --seed.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 import time
 
-from .certificates import Certificate, make_manifest, read_manifest, write_manifest
+from .certificates import Certificate, make_manifest, write_manifest
 from .efr import efr_certificate, efr_hypergraph
 from .errors import FormatError, InputError
 from .graphs import named_graph, read_graph, write_graph
@@ -119,38 +120,41 @@ def _budget_of(args, engine):
     return DEFAULT_SET_BUDGET if ms is None else max(1, int(ms * NODES_PER_MS[engine]))
 
 
-def _emit(cert_path, cert, manifest_path, args, seed, inputs, outputs, started):
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _construct(args, seed, write, instance, cert, summary, gate):
+    """The output path of every construct command: write the instance to
+    --out, the certificate and the manifest (argv, seed and the sha256 of
+    each output, which replay compares), and print the id= line.  The
+    artifacts are always written, but the command fails (exit 1, witnesses
+    printed) when a construction guarantee named in `gate` does not hold;
+    parameter-rule flags (asymptotic regimes) stay informational."""
+    cert_path = args.cert or args.out + ".cert.json"
+    manifest_path = args.manifest or args.out + ".manifest.json"
+    write(args.out, instance)
     cert.write(cert_path)
+    outputs = [args.out, cert_path]
     manifest = make_manifest(
-        command=args.command_path,
+        command=[args.verb, args.what],
         params={"argv": args.raw_argv},
         seed=seed,
-        inputs=inputs,
-        outputs=outputs + [cert_path],
-        started_at=started,
+        inputs=[],
+        outputs=outputs,
+        started_at=args.started,
     )
+    manifest["output_sha256"] = {path: _sha256(path) for path in outputs}
     write_manifest(manifest_path, manifest)
-
-
-def _default_paths(args):
-    cert = args.cert or args.out + ".cert.json"
-    manifest = args.manifest or args.out + ".manifest.json"
-    return cert, manifest
-
-
-def _gate(cert, keys):
-    """Exit status for a construct command: the artifact is always written,
-    but the command fails when a construction guarantee does not hold.
-    Parameter-rule flags (asymptotic regimes) stay informational."""
-    bad = [k for k in keys if not cert.passed(k)]
-    if not bad:
-        return 0
+    print(f"id={args.out} {summary}")
+    bad = [key for key in gate if not cert.passed(key)]
     for key in bad:
         print(f"fail: {key}")
         witness = cert.predicates[key].get("witness")
         if witness is not None:
             print(json.dumps(witness, sort_keys=True))
-    return 1
+    return 1 if bad else 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,79 +162,58 @@ def _gate(cert, keys):
 # ---------------------------------------------------------------------------
 
 def cmd_construct_efr(args):
-    started = time.monotonic()
     inst = efr_hypergraph(args.d, args.r, args.R)
-    write_hypergraph(args.out, inst.hypergraph)
     cert = efr_certificate(inst)
-    cert_path, manifest_path = _default_paths(args)
-    _emit(cert_path, cert, manifest_path, args, None, [], [args.out], started)
-    print(f"id={args.out} edges={inst.hypergraph.m} n={inst.declared_n} "
-          f"verified={'pass' if cert.all_passed() else 'fail'}")
-    return _gate(cert, cert.predicates)
+    summary = (f"edges={inst.hypergraph.m} n={inst.declared_n} "
+               f"verified={'pass' if cert.all_passed() else 'fail'}")
+    return _construct(args, None, write_hypergraph, inst.hypergraph, cert, summary, cert.predicates)
 
 
 def cmd_construct_theorem1(args):
-    started = time.monotonic()
     seed = _seed_of(args)
     pattern = _load_pattern(args.f)
     rng = SeededRng(seed, "theorem1")
     gstar, cert = theorem1_build(
         args.d, args.r, args.R, pattern, rng, ffree_budget=args.ffree_budget
     )
-    write_graph(args.out, gstar)
-    cert_path, manifest_path = _default_paths(args)
-    _emit(cert_path, cert, manifest_path, args, seed, [], [args.out], started)
-    print(f"id={args.out} vertices={gstar.n} edges={gstar.m} "
-          f"triangle_free={'pass' if cert.passed('triangle_free') else 'fail'}")
-    return _gate(cert, ["triangle_free"])
+    summary = (f"vertices={gstar.n} edges={gstar.m} "
+               f"triangle_free={'pass' if cert.passed('triangle_free') else 'fail'}")
+    return _construct(args, seed, write_graph, gstar, cert, summary, ["triangle_free"])
 
 
 def cmd_construct_girth_hypergraph(args):
-    started = time.monotonic()
     seed = _seed_of(args)
     rng = SeededRng(seed, "girth-hypergraph")
     hstar, params = random_girth_hypergraph(args.t, args.r, rng)
-    write_hypergraph(args.out, hstar)
     cert = Certificate("random_girth_hypergraph")
     cert.set_param("t", args.t)
     cert.set_param("r", args.r)
     cert.record_rng(rng)
     cert.add_measurement("params", params.to_dict())
     cert.add_audit(hypergraph_girth_at_least(hstar, args.r + 2), "girth")
-    cert_path, manifest_path = _default_paths(args)
-    _emit(cert_path, cert, manifest_path, args, seed, [], [args.out], started)
-    print(f"id={args.out} edges={hstar.m} girth_audit="
-          f"{'pass' if cert.passed('girth') else 'fail'}")
-    return _gate(cert, ["girth"])
+    summary = f"edges={hstar.m} girth_audit={'pass' if cert.passed('girth') else 'fail'}"
+    return _construct(args, seed, write_hypergraph, hstar, cert, summary, ["girth"])
 
 
 def cmd_construct_theorem4_part1(args):
-    started = time.monotonic()
     seed = _seed_of(args)
     g = _load_pattern(args.g)
     f = _load_pattern(args.f)
     rng = SeededRng(seed, "theorem4-part1")
     built, cert = theorem4_part1_build(g, f, args.n, args.d, args.girth_target, rng)
-    write_graph(args.out, built)
-    cert_path, manifest_path = _default_paths(args)
-    _emit(cert_path, cert, manifest_path, args, seed, [], [args.out], started)
-    print(f"id={args.out} vertices={built.n} edges={built.m} "
-          f"g_absent={'pass' if cert.passed('g_absent') else 'fail'}")
-    return _gate(cert, ["g_absent", "cover"])
+    summary = (f"vertices={built.n} edges={built.m} "
+               f"g_absent={'pass' if cert.passed('g_absent') else 'fail'}")
+    return _construct(args, seed, write_graph, built, cert, summary, ["g_absent", "cover"])
 
 
 def cmd_construct_theorem4_part2(args):
-    started = time.monotonic()
     seed = _seed_of(args)
     g = _load_pattern(args.g)
     rng = SeededRng(seed, "theorem4-part2")
     built, cert = theorem4_part2_build(g, args.t, rng, try_all_pairs=args.try_all_pairs)
-    write_graph(args.out, built)
-    cert_path, manifest_path = _default_paths(args)
-    _emit(cert_path, cert, manifest_path, args, seed, [], [args.out], started)
-    print(f"id={args.out} vertices={built.n} edges={built.m} "
-          f"pattern_absent={'pass' if cert.passed('pattern_absent') else 'fail'}")
-    return _gate(cert, ["pattern_absent", "girth"])
+    summary = (f"vertices={built.n} edges={built.m} "
+               f"pattern_absent={'pass' if cert.passed('pattern_absent') else 'fail'}")
+    return _construct(args, seed, write_graph, built, cert, summary, ["pattern_absent", "girth"])
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +416,38 @@ def cmd_pattern_write(args):
 
 
 def cmd_replay(args):
-    manifest = read_manifest(args.manifest)
-    argv = manifest["params"]["argv"]
+    """Rerun a construct command from its manifest and compare each output
+    file with the sha256 the manifest recorded.  The manifest file itself is
+    left as it was: the rerun's fresh manifest would overwrite the record
+    being checked."""
+    with open(args.manifest, "rb") as fh:
+        record = fh.read()
+    try:
+        manifest = json.loads(record)
+        argv = manifest["params"]["argv"]
+        recorded = manifest["output_sha256"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{args.manifest}: no argv or output hashes ({exc!r})") from None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise FormatError(f"{args.manifest}: argv must be a list of strings")
+    if argv[:1] == ["replay"]:
+        raise FormatError(f"{args.manifest}: a manifest cannot replay the replay command")
+    if not (isinstance(recorded, dict) and recorded):
+        raise FormatError(f"{args.manifest}: no output hashes recorded")
     code = main(argv)
-    if code == 0:
-        print(f"replayed: {' '.join(argv)}")
-    return code
+    with open(args.manifest, "wb") as fh:
+        fh.write(record)
+    if code != 0:
+        return code
+    for path, digest in recorded.items():
+        replayed = _sha256(path)
+        if replayed != digest:
+            print(f"fail: replay differs at {path}")
+            witness = {"path": path, "recorded": digest, "replayed": replayed}
+            print(json.dumps(witness, sort_keys=True))
+            return 1
+    print(f"replayed: {' '.join(argv)}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +462,6 @@ def _add_out_flags(p):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="erdos-rogers")
-    # accepted for interface stability; every engine is sequential and
-    # deterministic, so the value never changes an output
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     construct = sub.add_parser("construct").add_subparsers(dest="what", required=True)
@@ -464,7 +470,7 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
     _add_out_flags(p)
-    p.set_defaults(func=cmd_construct_efr, command_path=["construct", "efr"])
+    p.set_defaults(func=cmd_construct_efr)
 
     p = construct.add_parser("theorem1")
     p.add_argument("--d", type=int, required=True)
@@ -474,15 +480,14 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ffree-budget", type=int, default=None)
     _add_out_flags(p)
-    p.set_defaults(func=cmd_construct_theorem1, command_path=["construct", "theorem1"])
+    p.set_defaults(func=cmd_construct_theorem1)
 
     p = construct.add_parser("girth-hypergraph")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     _add_out_flags(p)
-    p.set_defaults(func=cmd_construct_girth_hypergraph,
-                   command_path=["construct", "girth-hypergraph"])
+    p.set_defaults(func=cmd_construct_girth_hypergraph)
 
     p = construct.add_parser("theorem4-part1")
     p.add_argument("--g", required=True)
@@ -492,8 +497,7 @@ def build_parser():
     p.add_argument("--girth-target", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     _add_out_flags(p)
-    p.set_defaults(func=cmd_construct_theorem4_part1,
-                   command_path=["construct", "theorem4-part1"])
+    p.set_defaults(func=cmd_construct_theorem4_part1)
 
     p = construct.add_parser("theorem4-part2")
     p.add_argument("--g", required=True)
@@ -501,41 +505,40 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--try-all-pairs", action="store_true")
     _add_out_flags(p)
-    p.set_defaults(func=cmd_construct_theorem4_part2,
-                   command_path=["construct", "theorem4-part2"])
+    p.set_defaults(func=cmd_construct_theorem4_part2)
 
     verify = sub.add_parser("verify").add_subparsers(dest="what", required=True)
     p = verify.add_parser("linear")
     p.add_argument("file")
-    p.set_defaults(func=cmd_verify_linear, command_path=["verify", "linear"])
+    p.set_defaults(func=cmd_verify_linear)
     p = verify.add_parser("triangle-free")
     p.add_argument("file")
-    p.set_defaults(func=cmd_verify_triangle_free, command_path=["verify", "triangle-free"])
+    p.set_defaults(func=cmd_verify_triangle_free)
     p = verify.add_parser("girth")
     p.add_argument("file")
     p.add_argument("--min", type=int, required=True)
-    p.set_defaults(func=cmd_verify_girth, command_path=["verify", "girth"])
+    p.set_defaults(func=cmd_verify_girth)
     p = verify.add_parser("subgraph-free")
     p.add_argument("file")
     p.add_argument("--pattern", required=True)
     p.add_argument("--budget-ms", type=float, default=None)
-    p.set_defaults(func=cmd_verify_subgraph_free, command_path=["verify", "subgraph-free"])
+    p.set_defaults(func=cmd_verify_subgraph_free)
 
     search = sub.add_parser("search").add_subparsers(dest="what", required=True)
     p = search.add_parser("independent-set")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget-ms", type=float, default=None)
-    p.set_defaults(func=cmd_search_independent_set, command_path=["search", "independent-set"])
+    p.set_defaults(func=cmd_search_independent_set)
     p = search.add_parser("max-ffree")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--budget-ms", type=float, default=None)
-    p.set_defaults(func=cmd_search_max_ffree, command_path=["search", "max-ffree"])
+    p.set_defaults(func=cmd_search_max_ffree)
     p = search.add_parser("spencer")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_search_spencer, command_path=["search", "spencer"])
+    p.set_defaults(func=cmd_search_spencer)
     p = search.add_parser("drc")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--x", required=True, help="vertex list, e.g. 0-9 or 0,2,5")
@@ -543,16 +546,16 @@ def build_parser():
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--retries", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_search_drc, command_path=["search", "drc"])
+    p.set_defaults(func=cmd_search_drc)
     p = search.add_parser("ckprop")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--v0", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_search_ckprop, command_path=["search", "ckprop"])
+    p.set_defaults(func=cmd_search_ckprop)
     p = search.add_parser("sunflower")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_search_sunflower, command_path=["search", "sunflower"])
+    p.set_defaults(func=cmd_search_sunflower)
 
     pipeline = sub.add_parser("pipeline").add_subparsers(dest="what", required=True)
     p = pipeline.add_parser("ckfree")
@@ -561,7 +564,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--cert", default=None)
-    p.set_defaults(func=cmd_pipeline_ckfree, command_path=["pipeline", "ckfree"])
+    p.set_defaults(func=cmd_pipeline_ckfree)
     p = pipeline.add_parser("ksfree")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", type=int, required=True)
@@ -569,7 +572,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--cert", default=None)
-    p.set_defaults(func=cmd_pipeline_ksfree, command_path=["pipeline", "ksfree"])
+    p.set_defaults(func=cmd_pipeline_ksfree)
     p = pipeline.add_parser("ramsey-witness")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--f", required=True)
@@ -577,7 +580,7 @@ def build_parser():
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--rf", type=int, required=True)
     p.add_argument("--cert", default=None)
-    p.set_defaults(func=cmd_pipeline_ramsey_witness, command_path=["pipeline", "ramsey-witness"])
+    p.set_defaults(func=cmd_pipeline_ramsey_witness)
 
     oracle = sub.add_parser("oracle").add_subparsers(dest="what", required=True)
     p = oracle.add_parser("brute-force-f")
@@ -585,19 +588,19 @@ def build_parser():
     p.add_argument("--g", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_brute_force_f, command_path=["oracle", "brute-force-f"])
+    p.set_defaults(func=cmd_oracle_brute_force_f)
 
     pattern = sub.add_parser("pattern").add_subparsers(dest="what", required=True)
     p = pattern.add_parser("list")
-    p.set_defaults(func=cmd_pattern_list, command_path=["pattern", "list"])
+    p.set_defaults(func=cmd_pattern_list)
     p = pattern.add_parser("write")
     p.add_argument("name")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pattern_write, command_path=["pattern", "write"])
+    p.set_defaults(func=cmd_pattern_write)
 
     p = sub.add_parser("replay")
     p.add_argument("manifest")
-    p.set_defaults(func=cmd_replay, command_path=["replay"])
+    p.set_defaults(func=cmd_replay)
 
     return parser
 
@@ -611,6 +614,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     args.raw_argv = list(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except FormatError as exc:
@@ -622,7 +626,7 @@ def main(argv=None):
             payload["witness"] = exc.witness
         print(json.dumps(payload, sort_keys=True, default=list), file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,12 @@ class Audit:
         return f"Audit({self.name!r}, passed={self.passed}, witness={self.witness!r})"
 
 
+_FAULT_MESSAGES = {
+    "not-a-clique": "cover clique does not induce a complete subgraph",
+    "overlap": "cover cliques are not edge-disjoint",
+}
+
+
 class CliqueCover:
     """Host graph plus cliques intended to cover every host edge once."""
 
@@ -41,65 +47,51 @@ class CliqueCover:
             for c in cliques
         )
 
-    def validate(self, require_total=True):
+    def _pair_map(self):
+        """One sweep over the vertex pairs inside each clique.
+
+        Returns ({(u, v), u<v: covering clique index}, None), or
+        (None, (kind, witness)) at the first pair that is not a host edge
+        ("not-a-clique") or lies in two cliques ("overlap").
+        """
+        seen = {}
+        has_edge = self.host.has_edge
+        for idx, cl in enumerate(self.cliques):
+            for u, v in combinations(cl.members(), 2):
+                if not has_edge(u, v):
+                    return None, ("not-a-clique", {"clique": idx, "missing_edge": [u, v]})
+                if (u, v) in seen:
+                    return None, ("overlap", {"cliques": [seen[(u, v)], idx], "shared_pair": [u, v]})
+                seen[(u, v)] = idx
+        return seen, None
+
+    def validate(self):
         """Audit the three cover invariants.
 
         Checks that each listed clique induces a complete subgraph, that no
-        two cliques share more than one vertex, and (when require_total)
-        that every host edge lies in some clique.
+        two cliques share more than one vertex, and that every host edge
+        lies in some clique.
         """
-        seen = {}
-        for idx, cl in enumerate(self.cliques):
-            members = cl.members()
-            for u, v in combinations(members, 2):
-                if not self.host.has_edge(u, v):
-                    return Audit(
-                        "clique_cover",
-                        False,
-                        {"kind": "not-a-clique", "clique": idx, "missing_edge": [u, v]},
-                    )
-                if (u, v) in seen:
-                    return Audit(
-                        "clique_cover",
-                        False,
-                        {
-                            "kind": "overlap",
-                            "cliques": [seen[(u, v)], idx],
-                            "shared_pair": [u, v],
-                        },
-                    )
-                seen[(u, v)] = idx
-        if require_total:
-            for u, v in self.host.edges():
-                if (u, v) not in seen:
-                    return Audit(
-                        "clique_cover",
-                        False,
-                        {"kind": "uncovered-edge", "edge": [u, v]},
-                    )
+        seen, fault = self._pair_map()
+        if fault is not None:
+            kind, witness = fault
+            return Audit("clique_cover", False, {"kind": kind, **witness})
+        for u, v in self.host.edges():
+            if (u, v) not in seen:
+                return Audit("clique_cover", False, {"kind": "uncovered-edge", "edge": [u, v]})
         return Audit("clique_cover", True)
 
     def edge_clique_map(self):
         """Map host edge (u,v), u<v -> covering clique index.
 
-        Requires complete, edge-disjoint cliques; uncovered host edges are
-        simply absent from the map (callers decide whether that is an error).
+        Requires complete, edge-disjoint cliques (InputError with witness
+        otherwise); uncovered host edges are simply absent from the map
+        (callers decide whether that is an error).
         """
-        seen = {}
-        for idx, cl in enumerate(self.cliques):
-            members = cl.members()
-            for u, v in combinations(members, 2):
-                if not self.host.has_edge(u, v):
-                    raise InputError(
-                        "cover clique does not induce a complete subgraph",
-                        witness={"clique": idx, "missing_edge": [u, v]},
-                    )
-                if (u, v) in seen:
-                    raise InputError(
-                        "cover cliques are not edge-disjoint",
-                        witness={"cliques": [seen[(u, v)], idx], "shared_pair": [u, v]},
-                    )
-                seen[(u, v)] = idx
+        seen, fault = self._pair_map()
+        if fault is not None:
+            kind, witness = fault
+            raise InputError(_FAULT_MESSAGES[kind], witness=witness)
         return seen
 
     def __repr__(self):

@@ -152,15 +152,6 @@ def efr_hypergraph(d, r, R):
     return EFRInstance(d, r, R, h, sphere, part_sizes, part_offsets)
 
 
-def efr_parameters(N, R):
-    """The dimension/radius pair aimed at N vertices with R parts:
-    d = floor(sqrt(log_R N)), r = R^d."""
-    if N < 2 or R < 2:
-        raise InputError("need N >= 2 and R >= 2")
-    d = math.isqrt(int(math.log(N) / math.log(R)))
-    return d, R**d
-
-
 def density_floor(declared_n, R):
     """The density target N^2 / R^(8 sqrt(log_R N)) evaluated at N = declared_n."""
     logRN = math.log(declared_n) / math.log(R)

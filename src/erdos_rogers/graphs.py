@@ -8,6 +8,11 @@ freely between search engines.
 
 from .errors import FormatError, InputError
 
+# The largest vertex count a graph or hypergraph file may declare, checked
+# before anything is allocated.  The largest file the constructions write,
+# EFR (d, r, R) = (2, 65, 6), declares 384,475 vertices.
+MAX_FILE_VERTICES = 10**7
+
 
 def bits(mask):
     """Yield set bit positions of mask in increasing order."""
@@ -452,6 +457,11 @@ def graph_to_text(g):
     return "\n".join(lines) + "\n"
 
 
+def _check_vertex_count(n):
+    if not 0 <= n <= MAX_FILE_VERTICES:
+        raise FormatError(f"line 1: vertex count {n} outside 0..{MAX_FILE_VERTICES}")
+
+
 def graph_from_text(text):
     lines = text.splitlines()
     if not lines:
@@ -463,6 +473,7 @@ def graph_from_text(text):
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError("line 1: header fields must be integers") from None
+    _check_vertex_count(n)
     edges = []
     seen = set()
     body = [ln for ln in lines[1:] if ln.strip()]

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .covers import Audit, CliqueCover
 from .errors import FormatError, InputError
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet, _check_vertex_count, bits
 
 
 class Hypergraph:
@@ -283,6 +283,7 @@ def hypergraph_from_text(text):
     except ValueError:
         raise FormatError("line 1: header fields must be integers") from None
     n, m = fields[0], fields[1]
+    _check_vertex_count(n)
     r = fields[2] if len(fields) == 3 else None
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:

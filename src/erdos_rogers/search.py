@@ -13,7 +13,6 @@ from itertools import combinations
 
 from .errors import InputError, SelfCheckError
 from .graphs import VertexSet, as_mask, bits
-from .hypergraphs import Hypergraph
 from .subgraph import contains_subgraph
 
 
@@ -176,31 +175,6 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
 def _check_cycle_args(g, k):
     if not (3 <= k <= 12):
         raise InputError("cycle length must lie in 3..12")
-
-
-def count_k_cycles_through(g, v0, k):
-    """Exact number of k-cycles containing v0.
-
-    Each cycle is counted once via its canonical traversal: start at v0 and
-    walk toward the smaller of v0's two cycle neighbors."""
-    _check_cycle_args(g, k)
-    count = 0
-    row0 = g.row(v0)
-
-    def dfs(last, visited, depth, first):
-        nonlocal count
-        if depth == k - 1:
-            if (row0 >> last) & 1 and last > first:
-                count += 1
-            return
-        for w in bits(g.row(last) & ~visited):
-            if w == v0:
-                continue
-            dfs(w, visited | (1 << w), depth + 1, first)
-
-    for s in bits(row0):
-        dfs(s, (1 << v0) | (1 << s), 1, s)
-    return count
 
 
 def list_k_cycles(g, k, through=None, cap=None):

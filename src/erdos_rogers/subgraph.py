@@ -26,7 +26,6 @@ about exhaustiveness.
 """
 
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import InputError, SelfCheckError
 from .graphs import bits
@@ -180,13 +179,3 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
             return SubgraphResult("unknown", None, nodes)
     return SubgraphResult("absent", None, nodes)
 
-
-def exhaustive_contains(host, pattern):
-    """Oracle: try every injective placement.  Only for desk-size inputs."""
-    if pattern.n > 6 or host.n > 12:
-        raise InputError("exhaustive oracle limited to pattern<=6, host<=12")
-    pedges = pattern.edges()
-    for image in permutations(range(host.n), pattern.n):
-        if all(host.has_edge(image[u], image[v]) for u, v in pedges):
-            return True
-    return False

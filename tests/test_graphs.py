@@ -180,6 +180,8 @@ def test_text_round_trip():
         ("2 1\n0 2\n", "line 2"),
         ("3 2\n0 1\n", "edge lines"),
         ("2 1\nx y\n", "line 2"),
+        ("-3 0\n", "line 1"),
+        ("1000000000 0\n", "line 1"),
     ],
 )
 def test_text_errors_mention_location(text, fragment):

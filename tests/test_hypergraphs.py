@@ -61,7 +61,7 @@ def test_girth_audit():
 def test_line_intersection_graph_petersen_style():
     g, cover = line_intersection_graph(LOOSE_TRIANGLE)
     assert g.n == 3 and g.m == 3  # three edges, pairwise intersecting
-    assert cover.validate(require_total=True).passed
+    assert cover.validate().passed
 
 
 def test_line_graph_cover_maps_every_edge():
@@ -94,6 +94,8 @@ def test_text_round_trip():
         ("", "empty"),
         ("3 1 3\n0 1\n", "line 2"),
         ("3 2 3\n0 1 2\n", "edge lines"),
+        ("-3 0\n", "line 1"),
+        ("1000000000 0 3\n", "line 1"),
     ],
 )
 def test_text_errors(text, fragment):

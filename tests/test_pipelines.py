@@ -34,9 +34,7 @@ from erdos_rogers.graphs import (
 from erdos_rogers.hypergraphs import find_loose_cycles, hypergraph_girth_at_least
 from erdos_rogers.pipelines import (
     canonical_form,
-    count_edges_one_outside,
     lex_least_nonadjacent_pair,
-    sprop_statistics,
     sunflower_budget,
 )
 from erdos_rogers.subgraph import contains_subgraph
@@ -231,25 +229,6 @@ def test_girth_hypergraph_deterministic():
     assert a.edges == b.edges
 
 
-def test_count_edges_one_outside():
-    from erdos_rogers import Hypergraph
-
-    h = Hypergraph(6, [(0, 1, 2), (0, 1, 5), (3, 4, 5)], 3)
-    assert count_edges_one_outside(h, {0, 1, 2}) == 1  # only (0,1,5)
-    assert count_edges_one_outside(h, {0, 1, 2, 3, 4}) == 2
-
-
-def test_sprop_statistics_modes():
-    h, _ = random_girth_hypergraph(18, 3, SeededRng(1, "gh"))
-    report = sprop_statistics(h, 3, 10, SeededRng(1, "sp"))
-    assert report["mode"] == "exhaustive"
-    assert report["checked"] > 0
-    big, _ = random_girth_hypergraph(64, 3, SeededRng(1, "gh"))
-    report2 = sprop_statistics(big, 3, 10, SeededRng(1, "sp"))
-    assert report2["mode"] == "sampled"
-    assert report2["checked"] == 10
-
-
 def test_sunflower_budget_values():
     budget = sunflower_budget(30, 4, uniformity_t=4)
     assert budget["R"] == 25  # 4! + 1
@@ -300,6 +279,14 @@ def test_theorem4_part1_rejects_hom_target():
     with pytest.raises(InputError) as exc:
         theorem4_part1_build(cycle_graph(5), cycle_graph(5), 20, 3, 12, SeededRng(0, "x"))
     assert "homomorphism" in str(exc.value)
+
+
+def test_theorem4_part1_rejects_girth_target_below_twice_g():
+    # with target 8 the pruned bipartite graph keeps 10-cycles, which
+    # square and blow up into copies of C5
+    with pytest.raises(InputError) as exc:
+        theorem4_part1_build(cycle_graph(5), named_graph("k2"), 48, 5, 8, SeededRng(3, "x"))
+    assert exc.value.witness == {"girth_target": 8, "required": 10}
 
 
 def test_theorem4_part1_rejects_acyclic_g():

@@ -21,7 +21,6 @@ from erdos_rogers import (
 )
 from erdos_rogers.search import (
     count_edges_between,
-    count_k_cycles_through,
     ckprop_dense_pair,
     dependent_random_choice,
     erdos_rado_sunflower,
@@ -125,7 +124,7 @@ def test_petersen_five_cycles():
     cycles, truncated = list_k_cycles(petersen_graph(), 5)
     assert not truncated
     assert len(cycles) == 12
-    assert count_k_cycles_through(petersen_graph(), 0, 5) == 6  # 12 * 5 / 10
+    assert len(list_k_cycles(petersen_graph(), 5, through=0)[0]) == 6  # 12 * 5 / 10
 
 
 def test_c6_six_cycles():
@@ -134,7 +133,7 @@ def test_c6_six_cycles():
 
 
 def test_k4_triangles_through_vertex():
-    assert count_k_cycles_through(complete_graph(4), 0, 3) == 3
+    assert len(list_k_cycles(complete_graph(4), 3, through=0)[0]) == 3
 
 
 def test_list_k_cycles_through_filter():

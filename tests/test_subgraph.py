@@ -5,7 +5,6 @@ from erdos_rogers import (
     complete_graph,
     contains_subgraph,
     cycle_graph,
-    exhaustive_contains,
     gnp_graph,
     named_graph,
     petersen_graph,
@@ -59,7 +58,7 @@ def test_exhaustive_route_agrees(seed):
     rng = SeededRng(seed, "exh")
     host = gnp_graph(8, 0.35, rng.substream("host"))
     pattern = gnp_graph(4, 0.5, rng.substream("pattern"))
-    assert exhaustive_contains(host, pattern) == contains_subgraph(host, pattern).found
+    assert perm_contains(host, pattern) == contains_subgraph(host, pattern).found
 
 
 def test_forced_vertex_restricts_embeddings():
