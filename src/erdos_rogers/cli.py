@@ -18,7 +18,7 @@ import time
 from .certificates import Certificate, make_manifest, write_manifest
 from .efr import efr_certificate, efr_hypergraph
 from .errors import FormatError, InputError
-from .graphs import named_graph, read_graph, write_graph
+from .graphs import named_graph, read_graph, read_text, write_graph
 from .hypergraphs import (
     hypergraph_girth_at_least,
     hypergraph_is_linear,
@@ -97,14 +97,13 @@ def _parse_vertices(arg):
 
 def _read_set_family(path):
     family = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                family.append({int(tok) for tok in line.split()})
-            except ValueError:
-                raise FormatError(f"line {lineno}: set elements must be integers") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            family.append({int(tok) for tok in line.split()})
+        except ValueError:
+            raise FormatError(f"line {lineno}: set elements must be integers") from None
     return family
 
 

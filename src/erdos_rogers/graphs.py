@@ -502,6 +502,14 @@ def write_graph(path, g):
         fh.write(graph_to_text(g))
 
 
+def read_text(path):
+    """The text of a file; undecodable bytes are a FormatError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def read_graph(path):
-    with open(path) as fh:
-        return graph_from_text(fh.read())
+    return graph_from_text(read_text(path))

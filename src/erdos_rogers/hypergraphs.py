@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .covers import Audit, CliqueCover
 from .errors import FormatError, InputError
-from .graphs import Graph, VertexSet, _check_vertex_count, bits
+from .graphs import Graph, VertexSet, _check_vertex_count, bits, read_text
 
 
 class Hypergraph:
@@ -313,5 +313,4 @@ def write_hypergraph(path, h):
 
 
 def read_hypergraph(path):
-    with open(path) as fh:
-        return hypergraph_from_text(fh.read())
+    return hypergraph_from_text(read_text(path))

@@ -12,11 +12,13 @@ The search is backtracking over bit rows.  A pattern vertex's candidates are
 the common neighbors of its already placed pattern neighbors, inside the
 mask and not yet used, and a candidate needs at least the pattern vertex's
 degree inside the mask.  Pattern vertices are placed in a static order: the
-max-degree vertex first (or, with a forced vertex, each pattern vertex in
-turn as the anchor placed on it), then repeatedly the vertex with most
-placed neighbors, ties to higher degree then lower index.  Those placement
-plans depend only on the pattern, so they are computed once per pattern and
-kept in a small LRU cache keyed on the (immutable, hashable) Graph.
+max-degree vertex first (or, with a forced vertex, an anchor placed on it),
+then repeatedly the vertex with most placed neighbors, ties to higher degree
+then lower index.  Anchors in one automorphism orbit of the pattern decide
+the same answer, so a forced search tries one anchor per orbit in turn.
+Those placement plans depend only on the pattern, so they are computed once
+per pattern, together with its edge tuple, and kept in a small LRU cache
+keyed on the (immutable, hashable) Graph.
 
 Whole-host scans (within=None) try host candidates in ascending (degree,
 index) order, which fixes the embedding they report as a witness; masked
@@ -81,28 +83,48 @@ def _pattern_order(pattern, first=None):
     return order
 
 
+def _plan(pattern, first):
+    """A placement plan (order, steps): step i holds the earlier steps that
+    place pattern neighbors of order[i], and the degree of order[i]."""
+    order = tuple(_pattern_order(pattern, first))
+    step_of = {p: i for i, p in enumerate(order)}
+    steps = tuple(
+        (tuple(step_of[q] for q in bits(pattern.row(p)) if step_of[q] < i), pattern.degree(p))
+        for i, p in enumerate(order)
+    )
+    return order, steps
+
+
 @lru_cache(maxsize=64)
 def _placement_plans(pattern, anchored):
-    """The unforced placement plan of a pattern, or with `anchored` one plan
-    per pattern vertex placed first.  A plan is (order, steps): step i holds
-    the earlier steps that place pattern neighbors of order[i], and the
-    degree of order[i]."""
-    plans = []
-    for first in range(pattern.n) if anchored else (None,):
-        order = tuple(_pattern_order(pattern, first))
-        step_of = {p: i for i, p in enumerate(order)}
-        steps = tuple(
-            (tuple(step_of[q] for q in bits(pattern.row(p)) if step_of[q] < i), pattern.degree(p))
-            for i, p in enumerate(order)
-        )
-        plans.append((order, steps))
-    return tuple(plans)
+    """(edges, plans) of a pattern: its edge tuple, against which found
+    embeddings are verified, and its unforced placement plan or, with
+    `anchored`, one plan per automorphism orbit of anchors, each placing its
+    anchor first.
+
+    An embedding of the pattern into itself is an automorphism, so anchor b
+    shares an orbit with an earlier anchor exactly when a search of the
+    pattern forced through b succeeds on an earlier anchor's plan; the
+    first plan to succeed is then the least anchor of b's orbit.  Anchor b
+    is kept when that first plan is its own, or when the self-search runs
+    out of budget."""
+    edges = tuple(pattern.edges())
+    if not anchored:
+        return edges, (_plan(pattern, None),)
+    plans = tuple(_plan(pattern, b) for b in range(pattern.n))
+    rows, full = pattern.rows(), pattern.full_mask()
+    kept = []
+    for b, plan in enumerate(plans):
+        status, index, _, _ = _run_plans(rows, plans, DEFAULT_BUDGET, 1 << b, full, None)
+        if status == "unknown" or index == b:
+            kept.append(plan)
+    return edges, tuple(kept)
 
 
-def _verify_embedding(host, pattern, mapping, within, forced_vertex):
-    if len(set(mapping)) != pattern.n:
+def _verify_embedding(host, edges, mapping, within, forced_vertex):
+    if len(set(mapping)) != len(mapping):
         raise SelfCheckError("embedding is not injective")
-    for u, v in pattern.edges():
+    for u, v in edges:
         if not host.has_edge(mapping[u], mapping[v]):
             raise SelfCheckError("embedding does not preserve an edge")
     if any(not (within >> v) & 1 for v in mapping):
@@ -111,33 +133,11 @@ def _verify_embedding(host, pattern, mapping, within, forced_vertex):
         raise SelfCheckError("embedding misses the forced vertex")
 
 
-def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, within=None):
-    """Search for a copy of pattern in host.
-
-    Returns SubgraphResult with a verified embedding tuple (pattern vertex
-    i -> host vertex embedding[i]) on "found".  With within set (a vertex
-    bitmask; None means the whole host), only host vertices in the mask are
-    used, as if searching the induced subgraph on it.  With forced_vertex
-    set (a vertex of the mask), only embeddings whose image contains that
-    host vertex are considered.  The budget counts candidate placements;
-    exhausting it yields "unknown".
-    """
-    if pattern.n < 1:
-        raise InputError("pattern needs at least one vertex")
-    if within is None:
-        within = host.full_mask()
-        ranked = sorted(range(host.n), key=lambda v: (host.degree(v), v))
-    elif within >> host.n:
-        raise InputError("vertex mask names a vertex outside the host")
-    else:
-        ranked = None
-    if forced_vertex is not None and not (within >> forced_vertex) & 1:
-        raise InputError("forced vertex lies outside the vertex mask")
-    if pattern.n > within.bit_count():
-        return SubgraphResult("absent")
-
-    rows = host.rows()
-    start = within if forced_vertex is None else 1 << forced_vertex
+def _run_plans(rows, plans, budget, start, within, ranked):
+    """Try the placement plans in turn on a host given by its bit rows: the
+    first step of a plan picks from `start`, every later one from `within`.
+    Returns (status, index of the plan that placed the pattern, its image
+    per step, nodes)."""
     nodes = 0
 
     def place(steps, image, i, used):
@@ -165,17 +165,49 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
                 return sub
         return False
 
-    for order, steps in _placement_plans(pattern, forced_vertex is not None):
-        image = [-1] * pattern.n
+    for index, (order, steps) in enumerate(plans):
+        image = [-1] * len(order)
         ok = place(steps, image, 0, 0)
         if ok:
-            mapping = [-1] * pattern.n
-            for p, v in zip(order, image):
-                mapping[p] = v
-            mapping = tuple(mapping)
-            _verify_embedding(host, pattern, mapping, within, forced_vertex)
-            return SubgraphResult("found", mapping, nodes)
+            return "found", index, image, nodes
         if ok is None:
-            return SubgraphResult("unknown", None, nodes)
-    return SubgraphResult("absent", None, nodes)
+            return "unknown", None, None, nodes
+    return "absent", None, None, nodes
 
+
+def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, within=None):
+    """Search for a copy of pattern in host.
+
+    Returns SubgraphResult with a verified embedding tuple (pattern vertex
+    i -> host vertex embedding[i]) on "found".  With within set (a vertex
+    bitmask; None means the whole host), only host vertices in the mask are
+    used, as if searching the induced subgraph on it.  With forced_vertex
+    set (a vertex of the mask), only embeddings whose image contains that
+    host vertex are considered.  The budget counts candidate placements;
+    exhausting it yields "unknown".
+    """
+    if pattern.n < 1:
+        raise InputError("pattern needs at least one vertex")
+    if within is None:
+        within = host.full_mask()
+        ranked = sorted(range(host.n), key=lambda v: (host.degree(v), v))
+    elif within >> host.n:
+        raise InputError("vertex mask names a vertex outside the host")
+    else:
+        ranked = None
+    if forced_vertex is not None and not (within >> forced_vertex) & 1:
+        raise InputError("forced vertex lies outside the vertex mask")
+    if pattern.n > within.bit_count():
+        return SubgraphResult("absent")
+
+    edges, plans = _placement_plans(pattern, forced_vertex is not None)
+    start = within if forced_vertex is None else 1 << forced_vertex
+    status, index, image, nodes = _run_plans(host.rows(), plans, budget, start, within, ranked)
+    if status != "found":
+        return SubgraphResult(status, None, nodes)
+    mapping = [-1] * pattern.n
+    for p, v in zip(plans[index][0], image):
+        mapping[p] = v
+    mapping = tuple(mapping)
+    _verify_embedding(host, edges, mapping, within, forced_vertex)
+    return SubgraphResult("found", mapping, nodes)

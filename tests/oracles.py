@@ -160,3 +160,26 @@ def naive_loose_cycles(h, length):
 def hypergraph_independent(h, vertices):
     s = set(vertices)
     return all(not set(e) <= s for e in h.edges)
+
+
+def perm_canonical_form(g, classes):
+    """The canonical form by exhaustion: the minimum upper-triangle integer
+    over every permutation that keeps each refinement class on its own
+    positions.  `classes` is the class index per vertex."""
+    by_class = {}
+    for v, c in enumerate(classes):
+        by_class.setdefault(c, []).append(v)
+    groups = [by_class[c] for c in sorted(by_class)]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+        perm = [v for part in parts for v in part]
+        key = 0
+        bit = 0
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                if g.has_edge(perm[i], perm[j]):
+                    key |= 1 << bit
+                bit += 1
+        if best is None or key < best:
+            best = key
+    return (g.n, best if best is not None else 0)

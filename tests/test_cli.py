@@ -85,6 +85,14 @@ def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):
     noise.write_bytes(bytes(range(128, 256)))
     code, _, err = run(["search", "independent-set", "--in", str(noise)], capsys)
     assert code == 2 and err.startswith("error: ")
+    assert str(noise) in err
+    host = tmp_path / "k2.g"
+    host.write_text("2 1\n0 1\n")
+    for argv in (["verify", "linear", str(noise)],
+                 ["search", "sunflower", "--in", str(noise), "--m", "3"],
+                 ["verify", "subgraph-free", str(host), "--pattern", str(noise)]):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and str(noise) in err
 
 
 def test_negative_vertex_count_is_format_error(tmp_path, capsys):

@@ -3,7 +3,8 @@
 contains_subgraph(host, P, within=mask) must answer as a search of the
 induced subgraph on the mask would, with and without a forced vertex, and
 max_f_free_subset (which calls it once per branch node) must find the
-exhaustive maximum.  The pinned sets fix the output of `search max-ffree`
+exhaustive maximum.  A forced search keeps one anchor per automorphism
+orbit of the pattern.  The pinned sets fix the output of `search max-ffree`
 on three 18-vertex hosts to the values of the induced-subgraph search this
 core replaced.
 """
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from erdos_rogers import Graph, InputError, contains_subgraph, max_f_free_subset, named_graph
 from erdos_rogers.graphs import bits, induced_subgraph
+from erdos_rogers.subgraph import _placement_plans
 from oracles import brute_max_ffree, perm_contains
 
 PATTERNS = ["k2", "p3", "k3", "c4", "c5"]
@@ -76,6 +78,15 @@ def test_max_f_free_subset_matches_brute_force(host, name):
     assert res.status == "optimal"
     assert res.size == brute_max_ffree(host, pattern)
     assert not perm_contains(induced_subgraph(host, res.vertex_set.mask), pattern)
+
+
+@pytest.mark.parametrize(
+    "name,anchors",
+    [("k2", [0]), ("p3", [0, 1]), ("k3", [0]), ("c4", [0]), ("c5", [0]), ("petersen", [0]), ("wagner", [0])],
+)
+def test_forced_search_keeps_one_anchor_per_orbit(name, anchors):
+    _, plans = _placement_plans(named_graph(name), True)
+    assert [order[0] for order, _ in plans] == anchors
 
 
 def test_mask_and_forced_vertex_must_lie_in_the_host():
