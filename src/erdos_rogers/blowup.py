@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .covers import CliqueCover
 from .errors import InputError
-from .graphs import Graph, VertexSet, as_mask, bits
+from .graphs import Graph, VertexSet, as_mask, bipartition_violation, bits
 
 
 class BlowupColoring:
@@ -134,13 +134,12 @@ def square_clique_cover(bip, left):
     returned as the witness.
     """
     left_mask = as_mask(left)
-    # every edge must cross the bipartition
-    for u, v in bip.edges():
-        if bool((left_mask >> u) & 1) == bool((left_mask >> v) & 1):
-            raise InputError(
-                "graph is not bipartite with the given left part",
-                witness={"edge": [u, v]},
-            )
+    bad = bipartition_violation(bip, left_mask)
+    if bad is not None:
+        raise InputError(
+            "graph is not bipartite with the given left part",
+            witness={"edge": list(bad)},
+        )
 
     members = tuple(bits(left_mask))
     index = {v: i for i, v in enumerate(members)}

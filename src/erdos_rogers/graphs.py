@@ -271,28 +271,6 @@ def named_graph(name):
 # random models (all deterministic given a SeededRng)
 # ---------------------------------------------------------------------------
 
-def gnp_graph(n, p, rng):
-    gen = rng.numpy_rng()
-    edges = []
-    if n >= 2:
-        u = gen.random(n * (n - 1) // 2)
-        k = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if u[k] < p:
-                    edges.append((a, b))
-                k += 1
-    return Graph(n, edges)
-
-
-def bipartite_gnp(a, b, p, rng):
-    """Binomial bipartite graph; left part is 0..a-1."""
-    gen = rng.numpy_rng()
-    u = gen.random((a, b))
-    edges = [(i, a + j) for i in range(a) for j in range(b) if u[i, j] < p]
-    return Graph(a + b, edges)
-
-
 def random_regular_bipartite(a, b, d, rng):
     """Configuration-model d-regular bipartite graph on a+b vertices.
 

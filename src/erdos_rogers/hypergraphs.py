@@ -58,9 +58,6 @@ class Hypergraph:
                 inc[v].append(i)
         return inc
 
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m}, r={self.r})"
 

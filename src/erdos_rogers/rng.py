@@ -10,8 +10,6 @@ parent, so sibling substreams are independent of consumption order.
 
 import hashlib
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 _FLOAT_SCALE = 2.0 ** -53
 
@@ -93,17 +91,6 @@ class SeededRng:
             j = i + self.randrange(len(items) - i)
             items[i], items[j] = items[j], items[i]
         return items[:k]
-
-    def numpy_rng(self):
-        """A numpy Generator on a Philox stream keyed by (seed, label).
-
-        Philox is itself counter based, so bulk draws stay platform stable.
-        The key is derived from a disjoint hash domain, so mixing scalar and
-        bulk draws from the same SeededRng cannot alias.
-        """
-        raw = hashlib.blake2b(b"numpy", key=self._key, digest_size=32).digest()
-        key = int.from_bytes(raw[:16], "little")
-        return np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, label={self.label!r})"

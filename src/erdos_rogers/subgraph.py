@@ -133,46 +133,48 @@ def _verify_embedding(host, edges, mapping, within, forced_vertex):
         raise SelfCheckError("embedding misses the forced vertex")
 
 
+def _place(rows, steps, image, i, used, start, within, ranked, budget, nodes):
+    """Place steps i, i+1, ... of a plan by backtracking; nodes[0] counts
+    candidate placements.  True once placed, False when exhausted, None
+    when the budget runs out."""
+    earlier, need = steps[i]
+    allowed = start if i == 0 else within & ~used
+    for j in earlier:
+        allowed &= rows[image[j]]
+    if ranked is None:
+        candidates = bits(allowed)
+    else:
+        candidates = [v for v in ranked if (allowed >> v) & 1]
+    last = i + 1 == len(steps)
+    for v in candidates:
+        if (rows[v] & within).bit_count() < need:
+            continue
+        nodes[0] += 1
+        if nodes[0] > budget:
+            return None
+        image[i] = v
+        if last:
+            return True
+        sub = _place(rows, steps, image, i + 1, used | (1 << v), start, within, ranked, budget, nodes)
+        if sub is not False:
+            return sub
+    return False
+
+
 def _run_plans(rows, plans, budget, start, within, ranked):
     """Try the placement plans in turn on a host given by its bit rows: the
     first step of a plan picks from `start`, every later one from `within`.
     Returns (status, index of the plan that placed the pattern, its image
     per step, nodes)."""
-    nodes = 0
-
-    def place(steps, image, i, used):
-        nonlocal nodes
-        earlier, need = steps[i]
-        allowed = start if i == 0 else within & ~used
-        for j in earlier:
-            allowed &= rows[image[j]]
-        if ranked is None:
-            candidates = bits(allowed)
-        else:
-            candidates = [v for v in ranked if (allowed >> v) & 1]
-        last = i + 1 == len(steps)
-        for v in candidates:
-            if (rows[v] & within).bit_count() < need:
-                continue
-            nodes += 1
-            if nodes > budget:
-                return None
-            image[i] = v
-            if last:
-                return True
-            sub = place(steps, image, i + 1, used | (1 << v))
-            if sub is not False:
-                return sub
-        return False
-
+    nodes = [0]
     for index, (order, steps) in enumerate(plans):
         image = [-1] * len(order)
-        ok = place(steps, image, 0, 0)
+        ok = _place(rows, steps, image, 0, 0, start, within, ranked, budget, nodes)
         if ok:
-            return "found", index, image, nodes
+            return "found", index, image, nodes[0]
         if ok is None:
-            return "unknown", None, None, nodes
-    return "absent", None, None, nodes
+            return "unknown", None, None, nodes[0]
+    return "absent", None, None, nodes[0]
 
 
 def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, within=None):

@@ -1,13 +1,19 @@
-"""Reference implementations used to cross-check the package.
+"""Reference implementations used to cross-check the package, and the
+seeded random test graphs.
 
 Everything here is deliberately naive: masks and itertools over all
 candidates, no pruning beyond feasibility.  Tests compare package output
-against these on inputs small enough for exhaustion.
+against these on inputs small enough for exhaustion.  The G(n, p) test
+graphs draw from numpy's Philox generator, so numpy is a test dependency
+only; the package itself needs nothing beyond the standard library.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
+
+from erdos_rogers import Graph
 
 
 def brute_mis(g):
@@ -183,3 +189,38 @@ def perm_canonical_form(g, classes):
         if best is None or key < best:
             best = key
     return (g.n, best if best is not None else 0)
+
+
+def numpy_rng(rng):
+    """A numpy Generator on a Philox stream keyed by a SeededRng's (seed,
+    label).
+
+    Philox is itself counter based, so bulk draws stay platform stable.
+    The key is derived from a disjoint hash domain, so scalar draws from the
+    same SeededRng cannot alias it.
+    """
+    raw = hashlib.blake2b(b"numpy", key=rng._key, digest_size=32).digest()
+    key = int.from_bytes(raw[:16], "little")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def gnp_graph(n, p, rng):
+    gen = numpy_rng(rng)
+    edges = []
+    if n >= 2:
+        u = gen.random(n * (n - 1) // 2)
+        k = 0
+        for a in range(n):
+            for b in range(a + 1, n):
+                if u[k] < p:
+                    edges.append((a, b))
+                k += 1
+    return Graph(n, edges)
+
+
+def bipartite_gnp(a, b, p, rng):
+    """Binomial bipartite graph; left part is 0..a-1."""
+    gen = numpy_rng(rng)
+    u = gen.random((a, b))
+    edges = [(i, a + j) for i in range(a) for j in range(b) if u[i, j] < p]
+    return Graph(a + b, edges)

@@ -14,7 +14,6 @@ import pytest
 from erdos_rogers import (
     Hypergraph,
     SeededRng,
-    bipartite_gnp,
     blowup_graph,
     brute_force_f,
     ckfree_subset,
@@ -24,7 +23,6 @@ from erdos_rogers import (
     efr_certificate,
     efr_hypergraph,
     erdos_rado_sunflower,
-    gnp_graph,
     graph_to_text,
     hypergraph_girth_at_least,
     hypergraph_independence_violation,
@@ -43,7 +41,14 @@ from erdos_rogers import (
     validate_sunflower,
 )
 
-from oracles import blowup_hom_oracle, count_triangles, hypergraph_independent, perm_contains
+from oracles import (
+    bipartite_gnp,
+    blowup_hom_oracle,
+    count_triangles,
+    gnp_graph,
+    hypergraph_independent,
+    perm_contains,
+)
 
 
 class Budget:

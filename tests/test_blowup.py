@@ -9,7 +9,6 @@ from erdos_rogers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    gnp_graph,
     is_hom_free,
     named_graph,
     path_graph,
@@ -18,7 +17,7 @@ from erdos_rogers import (
     theorem1_failure_bound,
 )
 from erdos_rogers.graphs import Graph, triangle_witness
-from oracles import blowup_hom_oracle, hom_exists
+from oracles import blowup_hom_oracle, gnp_graph, hom_exists
 
 SEEDS = [0, 1, 5, 17, 99]
 
@@ -81,6 +80,14 @@ def test_square_clique_cover_rejects_four_cycles():
     with pytest.raises(InputError) as exc:
         square_clique_cover(complete_bipartite(2, 2), [0, 1])
     assert exc.value.witness is not None
+
+
+def test_square_clique_cover_rejects_an_edge_inside_the_left_part():
+    # C6 with left {0,2,3}: (2,3) is the first edge that does not cross
+    with pytest.raises(InputError) as exc:
+        square_clique_cover(cycle_graph(6), [0, 2, 3])
+    assert str(exc.value) == "graph is not bipartite with the given left part"
+    assert exc.value.witness == {"edge": [2, 3]}
 
 
 @pytest.mark.parametrize(

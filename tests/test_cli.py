@@ -299,6 +299,20 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines()[0] == "2"
 
 
+def test_runs_with_numpy_unimportable():
+    # the package needs only the standard library
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import erdos_rogers\n"
+        "from erdos_rogers.cli import main\n"
+        "sys.exit(main(['oracle', 'brute-force-f', '--f', 'k2', '--g', 'k3', '--n', '5']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
+
+
 def test_theorem4_part2_cli_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "t4.g")
     assert main(["construct", "theorem4-part2", "--g", "c4", "--t", "30",

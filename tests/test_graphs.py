@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from erdos_rogers import (
@@ -11,7 +13,6 @@ from erdos_rogers import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    gnp_graph,
     graph_from_text,
     graph_to_text,
     named_graph,
@@ -30,6 +31,7 @@ from erdos_rogers.graphs import (
     triangle_witness,
     wagner_graph,
 )
+from oracles import bipartite_gnp, gnp_graph, numpy_rng
 
 SEEDS = [0, 1, 7, 42, 1234]
 
@@ -143,12 +145,45 @@ def test_find_short_cycle_lengths():
     assert cyc is not None and len(cyc) == 7
 
 
+# sha256 of graph_to_text of each seeded test graph, so that no test's
+# random input can change unnoticed
+GNP_SHA256 = {
+    0: "b21d352bbbc9f29072cfdd331067941a16cc76e94546b161050e743fd4f9609a",
+    1: "2b5a3723850307deaa2fcced039060b7778918f324addd23cc48216536c8d297",
+    7: "dd9f2e30698c5d15b91f7c8aa57174c26bf7efcfce32e56fcd455ef9ddc1173d",
+    42: "071d1e24a920024185bf604549f246399709b5b2ae62e06dbb9e101196abca26",
+    1234: "112bc56946af597d6974b686104f8536ea573a03603736204498ac3b07d75990",
+}
+BIPARTITE_GNP_SHA256 = {
+    0: "5ed8e9e90631114373b9346863a7dc06605a1e6a5fcf7f8d93cc851c17a9181d",
+    1: "53b82e1d5bfb4224cf8aa33160fafca873c5cd2389cca4cb8215f1e256089378",
+    7: "b506b1eff8cc67e7db59b890890f3ed66b37489bd2cef0d8273fffb36408682e",
+    42: "3cd8242e5c31e09cc55d54583ad3c870f7c77657cb91c6ade2a95743f1ed2166",
+    1234: "1aae5c4d0a4a6cc684b440542bb7e0e24dc8a9253d55f8b4ef8abec29be5b7de",
+}
+
+
+def _sha256(g):
+    return hashlib.sha256(graph_to_text(g).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gnp_graph_determinism(seed):
     a = gnp_graph(30, 0.3, SeededRng(seed, "gnp"))
     b = gnp_graph(30, 0.3, SeededRng(seed, "gnp"))
     assert list(a.edges()) == list(b.edges())
     check_graph_invariants(a)
+    assert _sha256(a) == GNP_SHA256[seed]
+    bip = bipartite_gnp(20, 20, 0.3, SeededRng(seed, "bipartite-gnp"))
+    check_graph_invariants(bip)
+    assert bipartition_violation(bip, range(20)) is None
+    assert _sha256(bip) == BIPARTITE_GNP_SHA256[seed]
+
+
+def test_numpy_rng_deterministic():
+    a = numpy_rng(SeededRng(9, "np")).random(5)
+    b = numpy_rng(SeededRng(9, "np")).random(5)
+    assert (a == b).all()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

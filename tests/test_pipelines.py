@@ -11,7 +11,6 @@ from erdos_rogers import (
     complete_graph,
     cycle_graph,
     gfree_graph_reps,
-    gnp_graph,
     gplus_family,
     ksfree_recursion,
     list_k_cycles,
@@ -38,7 +37,7 @@ from erdos_rogers.pipelines import (
     sunflower_budget,
 )
 from erdos_rogers.subgraph import contains_subgraph
-from oracles import perm_contains
+from oracles import gnp_graph, perm_contains
 
 SEEDS = [0, 1, 2, 3, 4]
 

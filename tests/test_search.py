@@ -8,7 +8,6 @@ from erdos_rogers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    gnp_graph,
     greedy_independent_set,
     list_k_cycles,
     max_f_free_subset,
@@ -27,7 +26,7 @@ from erdos_rogers.search import (
     hypergraph_independence_violation,
     validate_sunflower,
 )
-from oracles import brute_max_ffree, brute_mis, find_any_sunflower, perm_contains
+from oracles import brute_max_ffree, brute_mis, find_any_sunflower, gnp_graph, perm_contains
 
 SEEDS = list(range(10))
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from erdos_rogers import (
@@ -5,11 +7,10 @@ from erdos_rogers import (
     complete_graph,
     contains_subgraph,
     cycle_graph,
-    gnp_graph,
     named_graph,
     petersen_graph,
 )
-from oracles import perm_contains
+from oracles import gnp_graph, perm_contains
 
 SEEDS = list(range(12))
 
@@ -87,3 +88,23 @@ def test_tiny_budget_reports_unknown():
 def test_empty_pattern_always_found():
     res = contains_subgraph(cycle_graph(4), named_graph("k2"))
     assert res.found
+
+
+def test_searches_leave_no_reference_cycles():
+    # a containment call must not leave garbage for the cyclic collector,
+    # found, absent, masked, forced or budgeted
+    host, k3 = cycle_graph(8), complete_graph(3)
+    contains_subgraph(host, k3, forced_vertex=0)  # fill the plan cache
+    gc.collect()
+    gc.disable()
+    try:
+        for v in range(8):
+            contains_subgraph(host, k3, forced_vertex=v)
+        for v in range(7):
+            contains_subgraph(host, named_graph("p4"), within=0b0111_1111, forced_vertex=v)
+        contains_subgraph(host, k3)
+        contains_subgraph(host, cycle_graph(8))
+        contains_subgraph(petersen_graph(), cycle_graph(5), budget=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
