@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .covers import CliqueCover
 from .errors import InputError
-from .graphs import Graph, VertexSet, as_mask, bipartition_violation, bits
+from .graphs import Graph, as_mask, bipartition_violation, bits
 
 
 class BlowupColoring:
@@ -42,13 +42,13 @@ def random_blowup(cover, pattern, rng):
     colorings = []
     for i, clique in enumerate(cover.cliques):
         stream = rng.substream(f"clique-{i}")
-        colorings.append({v: stream.randrange(pattern.n) for v in clique.members()})
+        colorings.append({v: stream.randrange(pattern.n) for v in clique})
     kept = []
     for (u, v), i in edge_map.items():
         col = colorings[i]
         if pattern.has_edge(col[u], col[v]):
             kept.append((u, v))
-    out = Graph(cover.host.n, kept)
+    out = Graph(cover.n, kept)
     return out, BlowupColoring(colorings)
 
 
@@ -152,7 +152,7 @@ def square_clique_cover(bip, left):
             continue
         nbrs = [index[u] for u in bits(bip.row(y))]
         if len(nbrs) >= 2:
-            cliques.append(VertexSet.from_iterable(nbrs))
+            cliques.append(nbrs)
         for a in range(len(nbrs)):
             for b in range(a + 1, len(nbrs)):
                 u, w = min(nbrs[a], nbrs[b]), max(nbrs[a], nbrs[b])

@@ -1,15 +1,18 @@
 """Clique covers: families of cliques that partition a host graph's edges.
 
+Each clique is a sorted tuple of vertices.  A cover either names its host
+graph or, built with `CliqueCover.union`, takes as host the union of its
+cliques (a complete graph on each clique), which is then never stored.
+
 Validation uses the pair-dictionary trick: two cliques share two vertices
 exactly when some vertex pair appears in both, so one sweep over all
-within-clique pairs checks completeness, edge-disjointness, and coverage
-in O(sum |K_i|^2) instead of O(#cliques^2).
+within-clique pairs checks edge-disjointness, and with a host also
+completeness and coverage, in O(sum |K_i|^2) instead of O(#cliques^2).
 """
 
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import VertexSet
 
 
 class Audit:
@@ -36,29 +39,40 @@ _FAULT_MESSAGES = {
 
 
 class CliqueCover:
-    """Host graph plus cliques intended to cover every host edge once."""
+    """Cliques, each a sorted vertex tuple, intended to cover every edge of
+    a host graph on n vertices once.  `host` is None for a union cover,
+    whose host is by definition the union of its cliques."""
 
-    __slots__ = ("host", "cliques")
+    __slots__ = ("n", "host", "cliques")
 
     def __init__(self, host, cliques):
+        self.n = host.n
         self.host = host
-        self.cliques = tuple(
-            c if isinstance(c, VertexSet) else VertexSet.from_iterable(c)
-            for c in cliques
-        )
+        self.cliques = _sorted_cliques(cliques, host.n)
+
+    @classmethod
+    def union(cls, n, cliques):
+        """The cover of the graph on n vertices whose edges are exactly the
+        vertex pairs inside the cliques; no host graph is built."""
+        cover = cls.__new__(cls)
+        cover.n = n
+        cover.host = None
+        cover.cliques = _sorted_cliques(cliques, n)
+        return cover
 
     def _pair_map(self):
         """One sweep over the vertex pairs inside each clique.
 
         Returns ({(u, v), u<v: covering clique index}, None), or
         (None, (kind, witness)) at the first pair that is not a host edge
-        ("not-a-clique") or lies in two cliques ("overlap").
+        ("not-a-clique", checked only when a host is given) or lies in two
+        cliques ("overlap").
         """
         seen = {}
-        has_edge = self.host.has_edge
+        has_edge = None if self.host is None else self.host.has_edge
         for idx, cl in enumerate(self.cliques):
-            for u, v in combinations(cl.members(), 2):
-                if not has_edge(u, v):
+            for u, v in combinations(cl, 2):
+                if has_edge is not None and not has_edge(u, v):
                     return None, ("not-a-clique", {"clique": idx, "missing_edge": [u, v]})
                 if (u, v) in seen:
                     return None, ("overlap", {"cliques": [seen[(u, v)], idx], "shared_pair": [u, v]})
@@ -68,14 +82,17 @@ class CliqueCover:
     def validate(self):
         """Audit the three cover invariants.
 
-        Checks that each listed clique induces a complete subgraph, that no
-        two cliques share more than one vertex, and that every host edge
-        lies in some clique.
+        Checks that no two cliques share more than one vertex and, when a
+        host is given, that each listed clique induces a complete subgraph
+        and that every host edge lies in some clique (a union cover meets
+        both by definition).
         """
         seen, fault = self._pair_map()
         if fault is not None:
             kind, witness = fault
             return Audit("clique_cover", False, {"kind": kind, **witness})
+        if self.host is None:
+            return Audit("clique_cover", True)
         for u, v in self.host.edges():
             if (u, v) not in seen:
                 return Audit("clique_cover", False, {"kind": "uncovered-edge", "edge": [u, v]})
@@ -95,4 +112,15 @@ class CliqueCover:
         return seen
 
     def __repr__(self):
-        return f"CliqueCover(host={self.host!r}, cliques={len(self.cliques)})"
+        return f"CliqueCover(n={self.n}, host={self.host!r}, cliques={len(self.cliques)})"
+
+
+def _sorted_cliques(cliques, n):
+    """Each clique as a sorted tuple of distinct vertices in range(n)."""
+    out = []
+    for c in cliques:
+        t = tuple(sorted(set(c)))
+        if t and (t[0] < 0 or t[-1] >= n):
+            raise InputError("cover clique vertex out of range", witness={"clique": len(out), "n": n})
+        out.append(t)
+    return tuple(out)

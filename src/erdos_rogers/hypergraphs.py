@@ -1,5 +1,8 @@
 """Hypergraphs with r-uniformity, linearity, loose-girth audits, and the
-line-intersection graph used by the blowup pipelines.
+K_v clique cover of the line-intersection graph used by the blowup
+pipelines.  The cover is a union cover (`CliqueCover.union`): its cliques
+are sorted tuples of edge indices and the line graph itself is built only
+by `line_intersection_graph`.
 
 A hypergraph is linear when any two edges share at most one vertex.  A
 triangle here is three edges pairwise intersecting in exactly one vertex
@@ -13,7 +16,7 @@ from itertools import combinations
 
 from .covers import Audit, CliqueCover
 from .errors import FormatError, InputError
-from .graphs import Graph, VertexSet, _check_vertex_count, bits, read_text
+from .graphs import Graph, _check_vertex_count, read_text
 
 
 class Hypergraph:
@@ -81,47 +84,37 @@ def hypergraph_is_linear(h):
     return Audit("linear", True)
 
 
-def _pairwise_intersections(h):
-    """For a linear h: dict (i,j) i<j -> the single shared vertex, plus a
-    bitmask per edge of the edges it meets."""
-    inc = h.vertex_edges()
-    shared = {}
-    nbr = [0] * h.m
-    for v, idxs in enumerate(inc):
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                i, j = idxs[a], idxs[b]
-                shared[(i, j)] = v
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-    return shared, nbr
-
-
 def hypergraph_is_triangle_free(h):
     """Audit: no three edges pairwise meeting in one vertex without a
     common vertex.  Requires a linear hypergraph; a non-linear input is an
-    error naming a violating pair."""
+    error naming a violating pair.
+
+    The witness is the first triangle in this order: shared vertex v of the
+    first two edges ascending, then the pairs i < j of edges through v in
+    incidence order, then the third edge k > j ascending."""
     lin = hypergraph_is_linear(h)
     if not lin.passed:
         raise InputError("triangle audit requires a linear hypergraph", witness=lin.witness)
-    shared, nbr = _pairwise_intersections(h)
-    for (i, j), vij in shared.items():
-        common = nbr[i] & nbr[j]
-        for k in bits(common):
-            if k <= j:
-                continue
-            vik = shared[(i, k)]
-            vjk = shared[(j, k)]
-            # linear, so the three edges have a common vertex iff all three
-            # pairwise intersection vertices coincide
-            if not (vij == vik == vjk):
+    inc = h.vertex_edges()
+    # nbr[i]: the edges meeting edge i, i itself included
+    nbr = [set() for _ in range(h.m)]
+    for idxs in inc:
+        for i in idxs:
+            nbr[i].update(idxs)
+    for v, idxs in enumerate(inc):
+        through = set(idxs)
+        for i, j in combinations(idxs, 2):
+            # linear, so a common neighbour k of i and j that avoids v meets
+            # them in two further, distinct vertices: a triangle
+            third = [k for k in (nbr[i] & nbr[j]) - through if k > j]
+            if third:
+                k = min(third)
+                (vik,) = set(h.edges[i]).intersection(h.edges[k])
+                (vjk,) = set(h.edges[j]).intersection(h.edges[k])
                 return Audit(
                     "triangle_free",
                     False,
-                    {
-                        "edges": [i, j, k],
-                        "pairwise_vertices": [vij, vik, vjk],
-                    },
+                    {"edges": [i, j, k], "pairwise_vertices": [v, vik, vjk]},
                 )
     return Audit("triangle_free", True)
 
@@ -236,25 +229,28 @@ def hypergraph_girth_at_least(h, g):
     return Audit("girth_at_least", True)
 
 
-def line_intersection_graph(h):
-    """(G, cover): G has one vertex per edge of h, adjacent iff the edges
-    intersect; the cover collects, for each vertex v of h lying in at least
-    two edges, the clique K_v of edges through v.
+def vertex_clique_cover(h):
+    """The union cover (`CliqueCover.union`) on h.m vertices whose cliques
+    are, for each vertex v of h lying in at least two edges in ascending
+    order, the edge indices K_v through v, ascending.
 
     For linear h, two intersecting edges share exactly one vertex, so the
-    K_v are pairwise edge-disjoint and cover every edge of G exactly once.
-    """
-    inc = h.vertex_edges()
-    gedges = set()
-    cliques = []
-    for v, idxs in enumerate(inc):
-        if len(idxs) >= 2:
-            cliques.append(VertexSet.from_iterable(idxs))
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    gedges.add((idxs[a], idxs[b]))
-    graph = Graph(h.m, sorted(gedges))
-    return graph, CliqueCover(graph, cliques)
+    K_v are pairwise edge-disjoint and their union is the line-intersection
+    graph; the cover has sum_v C(deg v, 2) edges."""
+    return CliqueCover.union(h.m, [idxs for idxs in h.vertex_edges() if len(idxs) >= 2])
+
+
+def line_intersection_graph(h):
+    """(G, cover): G has one vertex per edge of h, adjacent iff the edges
+    intersect; the cover holds the cliques K_v of `vertex_clique_cover`
+    (sorted tuples of edge indices) with G as its host.
+
+    For linear h the K_v are pairwise edge-disjoint and cover every edge of
+    G exactly once.  G stores an h.m-bit row per edge of h, so pipelines
+    that need only the cover use `vertex_clique_cover` instead."""
+    union = vertex_clique_cover(h)
+    graph = Graph(h.m, sorted({pair for clique in union.cliques for pair in combinations(clique, 2)}))
+    return graph, CliqueCover(graph, union.cliques)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,26 @@ def naive_loose_cycles(h, length):
     return len(found)
 
 
+def first_loose_triangle(h):
+    """First loose triangle of a linear hypergraph, or None, scanning the
+    shared vertex v of the first two edges ascending, then the pairs i < j
+    of edges through v, then every third edge k > j ascending.  Returns
+    {"edges": [i, j, k], "pairwise_vertices": [v, v_ik, v_jk]}."""
+    edges = [set(e) for e in h.edges]
+    for v in range(h.n):
+        through = [i for i, e in enumerate(edges) if v in e]
+        for i, j in itertools.combinations(through, 2):
+            for k in range(j + 1, len(edges)):
+                ik = edges[i] & edges[k]
+                jk = edges[j] & edges[k]
+                if len(ik) != 1 or len(jk) != 1:
+                    continue
+                (vik,), (vjk,) = ik, jk
+                if not v == vik == vjk:
+                    return {"edges": [i, j, k], "pairwise_vertices": [v, vik, vjk]}
+    return None
+
+
 def hypergraph_independent(h, vertices):
     s = set(vertices)
     return all(not set(e) <= s for e in h.edges)

@@ -9,12 +9,15 @@ from erdos_rogers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    efr_hypergraph,
     is_hom_free,
+    line_intersection_graph,
     named_graph,
     path_graph,
     random_blowup,
     square_clique_cover,
     theorem1_failure_bound,
+    vertex_clique_cover,
 )
 from erdos_rogers.graphs import Graph, triangle_witness
 from oracles import blowup_hom_oracle, gnp_graph, hom_exists
@@ -43,7 +46,7 @@ def test_blowup_replay_identical(seed):
     again = Graph(HOST.n, [
         (u, v)
         for clique, col in zip(COVER.cliques, coloring.colorings)
-        for u, v in combinations(clique.members(), 2)
+        for u, v in combinations(clique, 2)
         if pattern.has_edge(col[u], col[v])
     ])
     assert list(again.edges()) == list(g.edges())
@@ -138,3 +141,36 @@ def test_blowup_rejects_non_clique_cover():
     bad = CliqueCover(path_graph(3), [(0, 1, 2)])
     with pytest.raises(InputError):
         random_blowup(bad, named_graph("k2"), SeededRng(0, "x"))
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [
+        CliqueCover(complete_graph(4), [(0, 1, 2), (1, 2, 3)]),
+        CliqueCover.union(4, [(0, 1, 2), (1, 2, 3)]),
+    ],
+    ids=["host", "union"],
+)
+def test_blowup_rejects_overlapping_cliques(cover):
+    with pytest.raises(InputError) as exc:
+        random_blowup(cover, named_graph("k2"), SeededRng(0, "x"))
+    assert str(exc.value) == "cover cliques are not edge-disjoint"
+    assert exc.value.witness == {"cliques": [0, 1], "shared_pair": [1, 2]}
+
+
+def test_union_cover_blowup_matches_hosted_cover():
+    h = efr_hypergraph(2, 25, 5).hypergraph
+    union = vertex_clique_cover(h)
+    line, hosted = line_intersection_graph(h)
+    assert union.host is None and union.n == line.n
+    assert union.cliques == hosted.cliques
+    assert union.validate().passed and hosted.validate().passed
+    a, ca = random_blowup(union, cycle_graph(5), SeededRng(4, "u"))
+    b, cb = random_blowup(hosted, cycle_graph(5), SeededRng(4, "u"))
+    assert a == b
+    assert ca.colorings == cb.colorings
+
+
+def test_union_cover_rejects_out_of_range_vertex():
+    with pytest.raises(InputError):
+        CliqueCover.union(3, [(0, 1, 3)])

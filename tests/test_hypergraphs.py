@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erdos_rogers import (
     FormatError,
@@ -11,7 +13,7 @@ from erdos_rogers import (
     line_intersection_graph,
 )
 from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text
-from oracles import naive_loose_cycles
+from oracles import first_loose_triangle, naive_loose_cycles
 
 # three 3-edges pairwise meeting in distinct single vertices: a loose triangle
 LOOSE_TRIANGLE = Hypergraph(9, [(0, 1, 2), (2, 3, 4), (0, 4, 5)], 3)
@@ -37,6 +39,29 @@ def test_triangle_detection():
 def test_triangle_free_rejects_nonlinear_input():
     with pytest.raises(InputError):
         hypergraph_is_triangle_free(NOT_LINEAR)
+
+
+@st.composite
+def linear_3_graphs(draw):
+    """A linear 3-graph on at most 10 vertices: drawn triples in draw
+    order, each kept unless it shares two vertices with a kept one."""
+    n = draw(st.integers(3, 10))
+    triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    kept = []
+    for t in draw(st.lists(triple, max_size=14)):
+        e = tuple(sorted(t))
+        if all(len(set(e) & set(f)) <= 1 for f in kept):
+            kept.append(e)
+    return Hypergraph(n, kept, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(linear_3_graphs())
+def test_triangle_audit_matches_first_loose_triangle(h):
+    audit = hypergraph_is_triangle_free(h)
+    expected = first_loose_triangle(h)
+    assert audit.passed == (expected is None)
+    assert audit.witness == expected
 
 
 @pytest.mark.parametrize("length", [2, 3, 4])
@@ -69,7 +94,7 @@ def test_line_graph_cover_maps_every_edge():
     g, cover = line_intersection_graph(h)
     seen = set()
     for cl in cover.cliques:
-        members = sorted(cl.members())
+        members = sorted(cl)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 seen.add((a, b))

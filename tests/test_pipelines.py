@@ -1,6 +1,12 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import erdos_rogers
 
 from erdos_rogers import (
     InputError,
@@ -10,9 +16,12 @@ from erdos_rogers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    efr_hypergraph,
     gfree_graph_reps,
+    graph_to_text,
     gplus_family,
     ksfree_recursion,
+    line_intersection_graph,
     list_k_cycles,
     named_graph,
     path_graph,
@@ -82,6 +91,72 @@ def test_theorem1_k2_blowup_measurement():
     measured = cert.measurements["max_pattern_free"]
     assert measured["status"] == "optimal"
     assert measured["size"] >= g.n // 2
+
+
+# sha256 of graph_to_text(g) and of the certificate bytes of theorem1_build
+# with SeededRng(5, "pin"); the blowup must not change with its data layout
+THEOREM1_SHA256 = {
+    ((2, 5, 3), "k2"): (
+        "ad85fad08a2dd7835ab4c5b068c4378c721bbd5dae9b7927f37376e3c86a7572",
+        "988d4ae19019f7bbab4d1269dfbc5c9d063f4150a27076cfe15280a4e9b5418c",
+    ),
+    ((2, 5, 3), "c5"): (
+        "b5a8aa2d14daa9a307f939e2020c49794a7c0fd4a683a5f2fb0cac7ff4e95eb6",
+        "745c699f3b0b650f8954def0aeae88e83ef9a650ba4f838f6b8513a7cc5aa942",
+    ),
+    ((2, 5, 3), "c4"): (
+        "ad85fad08a2dd7835ab4c5b068c4378c721bbd5dae9b7927f37376e3c86a7572",
+        "8fb1b91ce5c3b615360bc60b3fd97716d4f360303135bad4f396cc28cd783488",
+    ),
+    ((2, 25, 5), "k2"): (
+        "470483d155824feb61e2436d0d0eb8a9d781bb8f12b3e069e10a3250e67c5383",
+        "67ed983e89fb46118ea13d8d736d4c4d2cd812ea61956601df8bf249913fa502",
+    ),
+    ((2, 25, 5), "c5"): (
+        "4d3d814604c6beadf5054cd32e1503887c134290c27b358f6dc537a9e74c91c6",
+        "08cb691e9f2e7a9b191fe366d944a10529b678d4da2c10a0c8e321c8082ddec5",
+    ),
+    ((2, 25, 5), "c4"): (
+        "470483d155824feb61e2436d0d0eb8a9d781bb8f12b3e069e10a3250e67c5383",
+        "b304df45b5dc5faa08758d5929b2089843645444d1ef964a753db6519b9a5488",
+    ),
+}
+
+
+@pytest.mark.parametrize("params,f", sorted(THEOREM1_SHA256))
+def test_theorem1_bytes_pinned(params, f):
+    g, cert = theorem1_build(*params, named_graph(f), SeededRng(5, "pin"))
+    graph_sha, cert_sha = THEOREM1_SHA256[(params, f)]
+    assert hashlib.sha256(graph_to_text(g).encode()).hexdigest() == graph_sha
+    assert hashlib.sha256(cert.to_json_bytes()).hexdigest() == cert_sha
+    line, cover = line_intersection_graph(efr_hypergraph(*params).hypergraph)
+    assert cert.measurements["line_graph_edges"] == line.m
+    assert cert.measurements["cover_cliques"] == len(cover.cliques)
+
+
+try:
+    import resource
+except ImportError:
+    resource = None
+
+PEAK_RSS_PROBE = """
+import resource, sys
+from erdos_rogers import SeededRng, named_graph, theorem1_build
+theorem1_build(2, 65, 6, named_graph("c5"), SeededRng(1, "theorem1"))
+unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_theorem1_peak_memory():
+    # 33,800 hyperedges: one 33,800-bit row per line-graph vertex or per
+    # cover clique would take the process past 400 MB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(erdos_rogers.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert float(out.stdout) < 300
 
 
 # ---------------------------------------------------------------------------
