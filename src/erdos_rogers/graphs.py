@@ -6,7 +6,7 @@ time and the structure is immutable afterwards, so graphs can be shared
 freely between search engines.
 """
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, SelfCheckError
 
 # The largest vertex count a graph or hypergraph file may declare, checked
 # before anything is allocated.  The largest file the constructions write,
@@ -369,50 +369,97 @@ def bipartition_violation(g, left):
     return None
 
 
+def _girth_at_most(g, max_len):
+    """The girth of g if it is at most max_len, else None.
+
+    A BFS from each root, level by level on bit rows: an edge inside level
+    k closes a closed walk of length 2k + 1, and a vertex of level k + 1
+    with two neighbours in level k one of length 2k + 2.  Each such walk
+    holds a cycle, and from a root on a shortest cycle the least one is
+    that cycle, so the minimum over roots is the girth.  A root's BFS stops
+    once no deeper level can beat the best length so far."""
+    rows = g.rows()
+    best = max_len + 1
+    for root in range(g.n):
+        if best <= 3:
+            break
+        seen = level = 1 << root
+        k = 0
+        while level and 2 * k + 1 < best:
+            once = twice = 0
+            odd = False
+            for u in bits(level):
+                row = rows[u]
+                if row & level:
+                    odd = True
+                    break
+                row &= ~seen
+                twice |= once & row
+                once |= row
+            if odd:
+                best = 2 * k + 1
+                break
+            if twice:
+                best = min(best, 2 * k + 2)
+                break
+            seen |= once
+            level = once
+            k += 1
+    return best if best <= max_len else None
+
+
 def find_short_cycle(g, max_len):
     """A shortest cycle of length <= max_len as a vertex list, else None.
 
-    BFS from every root; each non-tree edge closes a cycle through the BFS
-    tree whose length after stripping the common root path is genuine.
+    The cycle returned is the first shortest one in root order, then BFS
+    order: roots are taken in increasing order, each BFS scans neighbours
+    in increasing order, and each non-tree edge (u, w) met from u with
+    dist[w] >= dist[u] closes the cycle u .. a .. w through the BFS tree,
+    a being the deepest common ancestor of u and w.
+
+    Phase 1 computes the girth (`_girth_at_most`) and returns None at once
+    when there is no cycle of length <= max_len.  Phase 2 runs the
+    enumeration above and returns the first cycle whose length equals the
+    girth; a root on a shortest cycle always yields one, so phase 2 stops
+    at the latest there.
     """
-    best = None
+    girth = _girth_at_most(g, max_len)
+    if girth is None:
+        return None
+    nbrs = [tuple(bits(row)) for row in g.rows()]
     for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[root] = 0
         frontier = [root]
         while frontier:
             nxt = []
             for u in frontier:
-                for w in bits(g.row(u)):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
+                du = dist[u]
+                for w in nbrs[u]:
+                    dw = dist[w]
+                    if dw < 0:
+                        dist[w] = du + 1
                         parent[w] = u
                         nxt.append(w)
-                    elif parent[u] != w and dist[w] >= dist[u]:
-                        # collision edge (u,w): walk up to the meeting point
-                        pu, pw = u, w
-                        path_u, path_w = [u], [w]
-                        while dist[pu] > dist[pw]:
-                            pu = parent[pu]
-                            path_u.append(pu)
-                        while dist[pw] > dist[pu]:
-                            pw = parent[pw]
-                            path_w.append(pw)
-                        while pu != pw:
-                            pu = parent[pu]
-                            pw = parent[pw]
-                            path_u.append(pu)
-                            path_w.append(pw)
-                        cyc = path_u + path_w[-2::-1]
-                        if len(set(cyc)) == len(cyc):
-                            if best is None or len(cyc) < len(best):
-                                best = cyc
+                    elif parent[u] != w and dw >= du:
+                        # dw is du or du + 1: climb to the common ancestor a
+                        a, b = u, (w if dw == du else parent[w])
+                        while a != b:
+                            a, b = parent[a], parent[b]
+                        if du + dw + 1 - 2 * dist[a] == girth:
+                            return _tree_path(u, a, parent) + _tree_path(w, a, parent)[-2::-1]
             frontier = nxt
-        if best is not None and len(best) == 3:
-            break
-    if best is not None and len(best) <= max_len:
-        return best
-    return None
+    raise SelfCheckError(f"no cycle of the girth {girth} in the enumeration")
+
+
+def _tree_path(v, top, parent):
+    """[v, parent[v], ..., top] up a BFS tree."""
+    path = [v]
+    while v != top:
+        v = parent[v]
+        path.append(v)
+    return path
 
 
 def triangle_witness(g):

@@ -10,7 +10,7 @@ byte of the output.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 from .blowup import (
     is_hom_free,
@@ -470,7 +470,12 @@ def random_girth_hypergraph(t, r, rng):
     """Binomial r-uniform hypergraph at p = t^(1-r+1/(2r)), then for each
     length 2..r+1 a greedy maximal edge-disjoint family of loose cycles of
     the *sampled* hypergraph is removed wholesale.  Maximality makes the
-    survivor girth at least r+2, which is re-audited."""
+    survivor girth at least r+2, which is re-audited.
+
+    The sample takes one random() draw of the "edges" substream per
+    r-subset, in `combinations(range(t), r)` order, and keeps the subset
+    when the draw falls below p; `bernoulli_indices` finds those draws and
+    the kept indices are unranked in the same order."""
     if r < 2:
         raise InputError("uniformity r >= 2 required")
     if t < r:
@@ -480,7 +485,12 @@ def random_girth_hypergraph(t, r, rng):
         raise InputError("edge probability exceeds 1", witness={"p": p})
 
     stream = rng.substream("edges")
-    edges = [c for c in combinations(range(t), r) if stream.random() < p]
+    subsets = combinations(range(t), r)
+    edges = []
+    prev = -1
+    for i in stream.bernoulli_indices(math.comb(t, r), p):
+        edges.append(next(islice(subsets, i - prev - 1, None)))
+        prev = i
     h0 = Hypergraph(t, edges, r=r)
 
     removed = set()

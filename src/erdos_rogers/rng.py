@@ -9,21 +9,25 @@ parent, so sibling substreams are independent of consumption order.
 """
 
 import hashlib
+import math
+import struct
 
 _MASK64 = (1 << 64) - 1
 _FLOAT_SCALE = 2.0 ** -53
+_BLOCK_WORDS = struct.Struct("<8Q")
 
 
 class SeededRng:
     """Counter-based deterministic RNG keyed by (seed, label, counter)."""
 
-    __slots__ = ("seed", "label", "_key", "_block", "_buf", "_pos")
+    __slots__ = ("seed", "label", "_key", "_keyed", "_block", "_buf", "_pos")
 
     def __init__(self, seed, label="root"):
         self.seed = int(seed) & _MASK64
         self.label = str(label)
         material = self.seed.to_bytes(8, "little") + b"\x1f" + self.label.encode("utf-8")
         self._key = hashlib.blake2b(material, digest_size=32).digest()
+        self._keyed = hashlib.blake2b(key=self._key, digest_size=64)
         self._block = 0
         self._buf = ()
         self._pos = 0
@@ -36,14 +40,17 @@ class SeededRng:
         """Seed record suitable for a certificate."""
         return {"seed": self.seed, "label": self.label}
 
-    def _refill(self):
-        raw = hashlib.blake2b(
-            self._block.to_bytes(8, "little"), key=self._key, digest_size=64
-        ).digest()
+    def _next_block(self):
+        """The 64 bytes of the next block: blake2b keyed by _key over the
+        little-endian block index (a copy of the keyed state, which gives
+        the same digest as keying afresh)."""
+        h = self._keyed.copy()
+        h.update(self._block.to_bytes(8, "little"))
         self._block += 1
-        self._buf = tuple(
-            int.from_bytes(raw[i : i + 8], "little") for i in range(0, 64, 8)
-        )
+        return h.digest()
+
+    def _refill(self):
+        self._buf = _BLOCK_WORDS.unpack(self._next_block())
         self._pos = 0
 
     def u64(self):
@@ -56,6 +63,30 @@ class SeededRng:
     def random(self):
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.u64() >> 11) * _FLOAT_SCALE
+
+    def bernoulli_indices(self, count, p):
+        """The indices i < count at which the next `count` random() draws
+        fall below p, consuming exactly the words those draws would.
+
+        random() < p iff (w >> 11) < ceil(p * 2^53), i.e. w < limit with
+        limit = ceil(p * 2^53) << 11.  When limit <= 2^56 a passing word
+        has a zero top byte, so a 64-byte block whose bytes 7, 15, .., 63
+        are all nonzero holds no hit and is skipped undecoded."""
+        limit = math.ceil(p * 2.0**53) << 11
+        sparse = limit <= 1 << 56
+        hits = []
+        i = 0
+        while i < count:
+            if self._pos >= len(self._buf) and count - i >= 8:
+                raw = self._next_block()
+                if not sparse or 0 in raw[7::8]:
+                    hits.extend(i + j for j, w in enumerate(_BLOCK_WORDS.unpack(raw)) if w < limit)
+                i += 8
+            else:
+                if self.u64() < limit:
+                    hits.append(i)
+                i += 1
+        return hits
 
     def randrange(self, n):
         """Uniform integer in [0, n), unbiased via rejection."""

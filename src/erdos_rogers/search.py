@@ -273,9 +273,8 @@ def spencer_independent_set(h, rng, trials=50):
     for trial in range(trials):
         stream = rng.substream(f"trial-{trial}")
         mask = 0
-        for v in range(n):
-            if stream.random() < p:
-                mask |= 1 << v
+        for v in stream.bernoulli_indices(n, p):
+            mask |= 1 << v
         for e in h.edges:
             if all((mask >> v) & 1 for v in e):
                 mask &= ~(1 << e[-1])

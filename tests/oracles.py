@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 
 from erdos_rogers import Graph
+from erdos_rogers.graphs import bits
 
 
 def brute_mis(g):
@@ -180,6 +181,53 @@ def first_loose_triangle(h):
                 (vik,), (vjk,) = ik, jk
                 if not v == vik == vjk:
                     return {"edges": [i, j, k], "pairwise_vertices": [v, vik, vjk]}
+    return None
+
+
+def all_roots_short_cycle(g, max_len):
+    """A shortest cycle of length <= max_len as a vertex list, else None.
+
+    BFS from every root; each non-tree edge closes a cycle through the BFS
+    tree whose length after stripping the common root path is genuine.
+    The first cycle of the least length, in root then BFS order, is kept.
+    """
+    best = None
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in bits(g.row(u)):
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif parent[u] != w and dist[w] >= dist[u]:
+                        # collision edge (u,w): walk up to the meeting point
+                        pu, pw = u, w
+                        path_u, path_w = [u], [w]
+                        while dist[pu] > dist[pw]:
+                            pu = parent[pu]
+                            path_u.append(pu)
+                        while dist[pw] > dist[pu]:
+                            pw = parent[pw]
+                            path_w.append(pw)
+                        while pu != pw:
+                            pu = parent[pu]
+                            pw = parent[pw]
+                            path_u.append(pu)
+                            path_w.append(pw)
+                        cyc = path_u + path_w[-2::-1]
+                        if len(set(cyc)) == len(cyc):
+                            if best is None or len(cyc) < len(best):
+                                best = cyc
+            frontier = nxt
+        if best is not None and len(best) == 3:
+            break
+    if best is not None and len(best) <= max_len:
+        return best
     return None
 
 

@@ -31,7 +31,7 @@ from erdos_rogers.graphs import (
     triangle_witness,
     wagner_graph,
 )
-from oracles import bipartite_gnp, gnp_graph, numpy_rng
+from oracles import all_roots_short_cycle, bipartite_gnp, gnp_graph, numpy_rng
 
 SEEDS = [0, 1, 7, 42, 1234]
 
@@ -143,6 +143,46 @@ def test_find_short_cycle_lengths():
     assert find_short_cycle(g, 6) is None
     cyc = find_short_cycle(g, 7)
     assert cyc is not None and len(cyc) == 7
+
+
+def _short_cycle_hosts():
+    for seed in SEEDS:
+        for n, p in [(8, 0.4), (14, 0.2), (24, 0.1), (30, 0.3)]:
+            yield gnp_graph(n, p, SeededRng(seed, "short-cycle"))
+        yield random_regular_bipartite(10, 10, 3, SeededRng(seed, "short-cycle"))
+        yield random_regular_bipartite(16, 16, 4, SeededRng(seed, "short-cycle"))
+    # forests, disconnected graphs and the empty graph
+    yield empty_graph(0)
+    yield empty_graph(5)
+    yield path_graph(7)
+    yield Graph(9, [(0, 1), (1, 2), (1, 3), (5, 6), (6, 7), (6, 8)])
+    yield Graph(12, [(i, (i + 1) % 5) for i in range(5)] + [(6, 7), (7, 8), (8, 9), (9, 6)])
+    yield Graph(13, [(i, i + 1) for i in range(5)] + [(7 + i, 7 + (i + 1) % 6) for i in range(6)])
+    yield blowup_graph(petersen_graph(), 2)
+
+
+def test_find_short_cycle_matches_all_roots_reference():
+    hosts = list(_short_cycle_hosts())
+    assert any(triangle_witness(g) is not None for g in hosts)
+    for g in hosts:
+        full = all_roots_short_cycle(g, g.n)
+        girth = len(full) if full else 3
+        for max_len in range(girth - 2, girth + 3):
+            assert find_short_cycle(g, max_len) == all_roots_short_cycle(g, max_len)
+
+
+@pytest.mark.parametrize("n,d,girth", [(48, 5, 10), (60, 5, 8)])
+def test_find_short_cycle_matches_reference_through_pruning(n, d, girth):
+    """Every intermediate graph of theorem4_part1_build's pruning loop."""
+    bip = random_regular_bipartite(n, n, d, SeededRng(1, "theorem4-part1").substream("bipartite"))
+    while True:
+        cyc = find_short_cycle(bip, girth)
+        assert cyc == all_roots_short_cycle(bip, girth)
+        if cyc is None:
+            break
+        ring = list(zip(cyc, cyc[1:] + cyc[:1]))
+        drop = min((min(e), max(e)) for e in ring)
+        bip = Graph(bip.n, [e for e in bip.edges() if e != drop])
 
 
 # sha256 of graph_to_text of each seeded test graph, so that no test's

@@ -324,6 +324,42 @@ def test_theorem4_part2_builds(gname, t):
     assert not contains_subgraph(built, g).found
 
 
+# sha256 of graph_to_text and of the certificate bytes of the theorem-4
+# builders at the CLI's seed labels, seed 1; the short-cycle scan and the
+# edge sampler must not change a byte
+THEOREM4_SHA256 = {
+    ("part2", "c4", 200): (
+        "d36566318499234f6885069a25f9de6140efe4453fd043bf3d576aa260d712e7",
+        "82b62b4bbf386c229172aa621a4cf323cd41f6e877e52cf08ace0a298be97de5",
+    ),
+    ("part2", "c5", 80): (
+        "d1736b75548cfe3bb4d6e7b55595d947e52856f3ea6131b57e2fd99de0d1bf6f",
+        "68cac5b3606949abec6c9b0fc5a65b31f1a61224943cbeb7315a55cb2f719c52",
+    ),
+    ("part1", 48, 5, 10): (
+        "7fd2298b56f65141404e12fa8099012ceab9babad81c712af01a574605299a79",
+        "6c56a524c81481d8304cd7af666024180c1739a0e5addd5d277d76fd04c7b13c",
+    ),
+    ("part1", 120, 5, 10): (
+        "e20c4cbb1891722772ce54db65b9574f17c1d4045b0d7beb0a16b95944ead72f",
+        "317004e30da0bd5f0852927a4d6395e9be4b8964fc8d5e780a7db8ef8c40861c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(THEOREM4_SHA256), ids=["-".join(map(str, c)) for c in THEOREM4_SHA256])
+def test_theorem4_bytes_pinned(case):
+    if case[0] == "part2":
+        built, cert = theorem4_part2_build(named_graph(case[1]), case[2], SeededRng(1, "theorem4-part2"))
+    else:
+        built, cert = theorem4_part1_build(
+            named_graph("c5"), named_graph("k2"), *case[1:], SeededRng(1, "theorem4-part1")
+        )
+    graph_sha, cert_sha = THEOREM4_SHA256[case]
+    assert hashlib.sha256(graph_to_text(built).encode()).hexdigest() == graph_sha
+    assert hashlib.sha256(cert.to_json_bytes()).hexdigest() == cert_sha
+
+
 def test_theorem4_part2_rejects_cliques_and_cut_vertices():
     with pytest.raises(InputError):
         theorem4_part2_build(complete_graph(4), 20, SeededRng(0, "t42"))

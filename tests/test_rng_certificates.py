@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -50,6 +51,22 @@ def test_random_unit_interval():
     vals = [rng.random() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert 0.35 < sum(vals) / len(vals) < 0.65
+
+
+# 2^-8 sits on the top-byte skip rule's edge: ceil(p 2^53) = 2^45 there
+BERNOULLI_PS = [0.0, 2.0**-50, math.nextafter(2.0**-8, 0.0), math.nextafter(2.0**-8, 1.0), 0.3, 1.0]
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+@pytest.mark.parametrize("count", [0, 5, 8, 13, 61, 1003, 20_001])
+@pytest.mark.parametrize("skip", [0, 3])
+def test_bernoulli_indices_matches_random_draws(p, count, skip):
+    a = SeededRng(17, "bernoulli")
+    b = SeededRng(17, "bernoulli")
+    for _ in range(skip):
+        assert a.u64() == b.u64()
+    assert a.bernoulli_indices(count, p) == [i for i in range(count) if b.random() < p]
+    assert a.u64() == b.u64()
 
 
 def test_certificate_json_is_stable():
