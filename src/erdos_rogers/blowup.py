@@ -2,39 +2,26 @@
 square clique covers of bipartite graphs, and homomorphism freeness.
 
 random_blowup colors each clique of the cover independently with vertices
-of a pattern F; a host edge survives exactly when its two endpoints get
-distinct, F-adjacent colors within the covering clique.  Host edges not
-covered by any clique are deleted outright, so partial covers are usable:
-they just contribute nothing.
+of a pattern F; a cover edge survives exactly when its two endpoints get
+distinct, F-adjacent colors within the covering clique.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .covers import CliqueCover
 from .errors import InputError
 from .graphs import Graph, as_mask, bipartition_violation, bits
 
 
-class BlowupColoring:
-    """The per-clique color maps of one random blowup."""
-
-    __slots__ = ("colorings",)
-
-    def __init__(self, colorings):
-        self.colorings = tuple(colorings)  # one dict per clique: vertex -> color
-
-    def __repr__(self):
-        return f"BlowupColoring(cliques={len(self.colorings)})"
-
-
 def random_blowup(cover, pattern, rng):
-    """(blown-up Graph, BlowupColoring).
+    """The blown-up Graph on the cover's n vertices.
 
-    Requires the cover's cliques to be complete and pairwise edge-disjoint
-    (InputError with witness otherwise).  Each clique i draws its colors
-    from the substream labeled clique-i, so colorings are independent of
-    enumeration order elsewhere.
+    Requires pairwise edge-disjoint cliques (InputError with witness
+    otherwise).  Each clique i draws its colors, in ascending vertex
+    order, from the substream labeled clique-i, so colorings are
+    independent of enumeration order elsewhere.
     """
     if pattern.n < 1:
         raise InputError("pattern needs at least one vertex")
@@ -48,45 +35,7 @@ def random_blowup(cover, pattern, rng):
         col = colorings[i]
         if pattern.has_edge(col[u], col[v]):
             kept.append((u, v))
-    out = Graph(cover.n, kept)
-    return out, BlowupColoring(colorings)
-
-
-class FailureBound:
-    """Log-space union bound for a blowup failing to stay pattern-free.
-
-    log_expected = log C(N^2, N) + N log t + R N log(1 - 1/t); the blowup
-    is guaranteed (some coloring works) exactly when this is negative.
-    """
-
-    __slots__ = ("t", "R", "N", "log_sets", "log_prob", "log_expected", "guaranteed", "chain_ok", "exact_power")
-
-    def __init__(self, t, R, N, log_sets, log_prob, log_expected, guaranteed, chain_ok, exact_power):
-        self.t = t
-        self.R = R
-        self.N = N
-        self.log_sets = log_sets
-        self.log_prob = log_prob
-        self.log_expected = log_expected
-        self.guaranteed = guaranteed
-        self.chain_ok = chain_ok
-        self.exact_power = exact_power
-
-    def as_dict(self):
-        return {
-            "t": self.t,
-            "R": self.R,
-            "N": self.N,
-            "log_sets": self.log_sets,
-            "log_prob": self.log_prob,
-            "log_expected": self.log_expected,
-            "guaranteed": self.guaranteed,
-            "chain_ok": self.chain_ok,
-            "exact_power": self.exact_power,
-        }
-
-    def __repr__(self):
-        return f"FailureBound(log_expected={self.log_expected:.3f}, guaranteed={self.guaranteed})"
+    return Graph(cover.n, kept)
 
 
 def _log_comb(n, k):
@@ -100,9 +49,13 @@ def _log_comb(n, k):
 def theorem1_failure_bound(t, R, N):
     """Evaluate the union bound over all N-subsets of a blown-up line graph.
 
-    R = 0 is allowed and gives guaranteed False (no parts, nothing random
-    ever dies).  The (1 - 1/t)^(R N) factor is computed from the exact
-    rational power when the exponent is small enough, else via log1p.
+    Returns the dict the theorem-1 certificate stores: t, R, N, log_sets,
+    log_prob, log_expected = log C(N^2, N) + N log t + R N log(1 - 1/t),
+    guaranteed (some coloring works, exactly when log_expected < 0),
+    chain_ok and exact_power.  R = 0 is allowed and gives guaranteed False
+    (no parts, nothing random ever dies).  The (1 - 1/t)^(R N) factor is
+    computed from the exact rational power when the exponent is small
+    enough, else via log1p.
     """
     if t < 2 or N < 2 or R < 0:
         raise InputError("need t >= 2, N >= 2, R >= 0")
@@ -119,17 +72,25 @@ def theorem1_failure_bound(t, R, N):
     # the chain in the probability estimate: t^N (1-1/t)^{RN} <= e^{N log t - RN/t},
     # compared against N^{-2N}
     chain_ok = (N * math.log(t) - exponent / t) < (-2.0 * N * math.log(N))
-    return FailureBound(
-        t, R, N, log_sets, log_prob, log_expected, log_expected < 0.0, chain_ok, exact_power
-    )
+    return {
+        "t": t,
+        "R": R,
+        "N": N,
+        "log_sets": log_sets,
+        "log_prob": log_prob,
+        "log_expected": log_expected,
+        "guaranteed": log_expected < 0.0,
+        "chain_ok": chain_ok,
+        "exact_power": exact_power,
+    }
 
 
 def square_clique_cover(bip, left):
     """Clique cover of the square of a bipartite graph restricted to `left`.
 
-    Host: one vertex per member of left (densely relabeled in increasing
-    order), u ~ w iff they share a right neighbor.  Cliques: for each right
-    vertex y with at least two left neighbors, the set N(y).  Girth > 4 is
+    One vertex per member of left (densely relabeled in increasing order),
+    u ~ w iff they share a right neighbor.  Cliques: for each right vertex
+    y with at least two left neighbors, the set N(y).  Girth > 4 is
     required; a 4-cycle would make two cliques share two vertices, and is
     returned as the witness.
     """
@@ -145,7 +106,6 @@ def square_clique_cover(bip, left):
     index = {v: i for i, v in enumerate(members)}
 
     pair_via = {}
-    host_edges = []
     cliques = []
     for y in range(bip.n):
         if (left_mask >> y) & 1:
@@ -153,21 +113,14 @@ def square_clique_cover(bip, left):
         nbrs = [index[u] for u in bits(bip.row(y))]
         if len(nbrs) >= 2:
             cliques.append(nbrs)
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                u, w = min(nbrs[a], nbrs[b]), max(nbrs[a], nbrs[b])
-                if (u, w) in pair_via:
-                    y0 = pair_via[(u, w)]
-                    raise InputError(
-                        "girth must exceed 4",
-                        witness={
-                            "four_cycle": [members[u], y0, members[w], y],
-                        },
-                    )
-                pair_via[(u, w)] = y
-                host_edges.append((u, w))
-    host = Graph(len(members), host_edges)
-    return CliqueCover(host, cliques)
+        for u, w in combinations(nbrs, 2):
+            if (u, w) in pair_via:
+                raise InputError(
+                    "girth must exceed 4",
+                    witness={"four_cycle": [members[u], pair_via[(u, w)], members[w], y]},
+                )
+            pair_via[(u, w)] = y
+    return CliqueCover(len(members), cliques)
 
 
 def is_hom_free(pattern, source):

@@ -12,10 +12,11 @@ part X_{i+1}.  Exactly |A| * r^d edges, one vertex per part per edge.
 """
 
 import math
+from itertools import product
 
 from .certificates import Certificate
 from .errors import InputError
-from .hypergraphs import Hypergraph, hypergraph_is_linear, hypergraph_is_triangle_free
+from .hypergraphs import Hypergraph, hypergraph_is_triangle_free
 
 
 class SpherePointSet:
@@ -118,29 +119,10 @@ def efr_hypergraph(d, r, R):
     part_offsets = [0]
     for s in part_sizes[:-1]:
         part_offsets.append(part_offsets[-1] + s)
-    declared_n = sum(part_sizes)
-
-    def vertex_id(part, point):
-        side = part * r
-        idx = 0
-        for c in point:
-            idx = idx * side + (c - 1)
-        return part_offsets[part - 1] + idx
-
-    def first_part_points():
-        point = [1] * d
-        while True:
-            yield tuple(point)
-            k = d - 1
-            while k >= 0 and point[k] == r:
-                point[k] = 1
-                k -= 1
-            if k < 0:
-                return
-            point[k] += 1
-
+    inst = EFRInstance(d, r, R, None, sphere, part_sizes, part_offsets)
+    vertex_id = inst.vertex_id
     edges = []
-    for x in first_part_points():
+    for x in product(range(1, r + 1), repeat=d):
         for a in sphere:
             edge = []
             point = x
@@ -148,8 +130,8 @@ def efr_hypergraph(d, r, R):
                 edge.append(vertex_id(i + 1, point))
                 point = tuple(point[j] + a[j] for j in range(d))
             edges.append(tuple(edge))
-    h = Hypergraph(declared_n, edges, R)
-    return EFRInstance(d, r, R, h, sphere, part_sizes, part_offsets)
+    inst.hypergraph = Hypergraph(inst.declared_n, edges, R)
+    return inst
 
 
 def density_floor(declared_n, R):
@@ -184,12 +166,16 @@ def efr_certificate(inst):
             (inst.r / math.sqrt(inst.d)) ** (inst.d - 4),
         )
 
-    lin = hypergraph_is_linear(h)
-    cert.add_audit(lin)
-    if lin.passed:
-        cert.add_audit(hypergraph_is_triangle_free(h))
-    else:
+    # the triangle audit sweeps for linearity first and refuses a
+    # non-linear input with the violating pair as its witness
+    try:
+        triangle_free = hypergraph_is_triangle_free(h)
+    except InputError as exc:
+        cert.add_predicate("linear", False, exc.witness)
         cert.add_predicate("triangle_free", False, {"skipped": "input not linear"})
+    else:
+        cert.add_predicate("linear", True)
+        cert.add_audit(triangle_free)
 
     expected_m = inst.sphere.count * inst.r**inst.d
     cert.add_predicate(

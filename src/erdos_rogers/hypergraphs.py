@@ -1,8 +1,8 @@
 """Hypergraphs with r-uniformity, linearity, loose-girth audits, and the
 K_v clique cover of the line-intersection graph used by the blowup
-pipelines.  The cover is a union cover (`CliqueCover.union`): its cliques
-are sorted tuples of edge indices and the line graph itself is built only
-by `line_intersection_graph`.
+pipelines.  The cover is a `CliqueCover(h.m, cliques)` whose cliques are
+sorted tuples of edge indices; the line graph itself is built only by
+`line_intersection_graph`.
 
 A hypergraph is linear when any two edges share at most one vertex.  A
 triangle here is three edges pairwise intersecting in exactly one vertex
@@ -230,27 +230,27 @@ def hypergraph_girth_at_least(h, g):
 
 
 def vertex_clique_cover(h):
-    """The union cover (`CliqueCover.union`) on h.m vertices whose cliques
-    are, for each vertex v of h lying in at least two edges in ascending
-    order, the edge indices K_v through v, ascending.
+    """The `CliqueCover` on h.m vertices whose cliques are, for each vertex
+    v of h lying in at least two edges in ascending order, the edge indices
+    K_v through v, ascending.
 
     For linear h, two intersecting edges share exactly one vertex, so the
     K_v are pairwise edge-disjoint and their union is the line-intersection
     graph; the cover has sum_v C(deg v, 2) edges."""
-    return CliqueCover.union(h.m, [idxs for idxs in h.vertex_edges() if len(idxs) >= 2])
+    return CliqueCover(h.m, [idxs for idxs in h.vertex_edges() if len(idxs) >= 2])
 
 
 def line_intersection_graph(h):
-    """(G, cover): G has one vertex per edge of h, adjacent iff the edges
-    intersect; the cover holds the cliques K_v of `vertex_clique_cover`
-    (sorted tuples of edge indices) with G as its host.
+    """(G, vertex_clique_cover(h)): G has one vertex per edge of h,
+    adjacent iff the edges intersect, which is the union of the cover's
+    cliques.
 
     For linear h the K_v are pairwise edge-disjoint and cover every edge of
     G exactly once.  G stores an h.m-bit row per edge of h, so pipelines
     that need only the cover use `vertex_clique_cover` instead."""
-    union = vertex_clique_cover(h)
-    graph = Graph(h.m, sorted({pair for clique in union.cliques for pair in combinations(clique, 2)}))
-    return graph, CliqueCover(graph, union.cliques)
+    cover = vertex_clique_cover(h)
+    graph = Graph(h.m, sorted({pair for clique in cover.cliques for pair in combinations(clique, 2)}))
+    return graph, cover
 
 
 # ---------------------------------------------------------------------------

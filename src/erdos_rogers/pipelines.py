@@ -110,7 +110,7 @@ def theorem1_build(d, r, R, pattern, rng, ffree_budget=None):
 
     inst = efr_hypergraph(d, r, R)
     cover = vertex_clique_cover(inst.hypergraph)
-    gstar, coloring = random_blowup(cover, pattern, rng.substream("blowup"))
+    gstar = random_blowup(cover, pattern, rng.substream("blowup"))
 
     cert = Certificate("theorem1_build")
     cert.set_param("d", d)
@@ -127,8 +127,8 @@ def theorem1_build(d, r, R, pattern, rng, ffree_budget=None):
     t = pattern.n
     n_declared = inst.declared_n
     fb = theorem1_failure_bound(t, R, n_declared)
-    cert.add_measurement("failure_bound", fb.as_dict())
-    cert.add_predicate("failure_bound_guaranteed", fb.guaranteed)
+    cert.add_measurement("failure_bound", fb)
+    cert.add_predicate("failure_bound_guaranteed", fb["guaranteed"])
     required_r = math.ceil(3 * t * math.log(t) * math.log(n_declared)) if t >= 2 else 0
     cert.add_predicate(
         "parameter_rule_R",
@@ -618,14 +618,20 @@ def theorem4_part2_build(g, t, rng, try_all_pairs=False):
 # theorem4_part1_build: blowups over high-girth bipartite squares
 # ---------------------------------------------------------------------------
 
-def theorem4_part1_build(g, pattern, n, d, girth_target, rng, ffree_budget=200_000):
+# node budget of the max pattern-free subset search on the part-1 blowup
+PART1_FFREE_BUDGET = 200_000
+
+
+def theorem4_part1_build(g, pattern, n, d, girth_target, rng):
     """Near-d-regular bipartite graph, pruned of short cycles, squared into
     a clique cover, then blown up with the pattern.
 
-    Requires no homomorphism from g into the pattern (witnessed otherwise)
-    and that g contains a cycle.  The output is scanned for copies of g;
-    the measured max pattern-free subset is reported against the
-    2 n |V(F)| ln|V(F)| / d yardstick."""
+    Requires n >= 1, d >= 1, no homomorphism from g into the pattern
+    (witnessed otherwise) and that g contains a cycle.  The output is
+    scanned for copies of g; the measured max pattern-free subset is
+    reported against the 2 n |V(F)| ln|V(F)| / d yardstick."""
+    if n < 1 or d < 1:
+        raise InputError("need n >= 1 and d >= 1", witness={"n": n, "d": d})
     ok, hom = is_hom_free(pattern, g)
     if not ok:
         raise InputError(
@@ -655,9 +661,9 @@ def theorem4_part1_build(g, pattern, n, d, girth_target, rng, ffree_budget=200_0
         bip = Graph(bip.n, [e for e in bip.edges() if e != drop])
         deletions += 1
 
-    min_deg = min(bip.degree(v) for v in range(bip.n)) if bip.n else 0
+    min_deg = min(bip.degree(v) for v in range(bip.n))
     cover = square_clique_cover(bip, range(n))
-    built, coloring = random_blowup(cover, pattern, rng.substream("blowup"))
+    built = random_blowup(cover, pattern, rng.substream("blowup"))
 
     cert = Certificate("theorem4_part1_build")
     cert.set_param("n", n)
@@ -683,7 +689,7 @@ def theorem4_part1_build(g, pattern, n, d, girth_target, rng, ffree_budget=200_0
         None if res.status == "absent" else {"status": res.status, "embedding": list(res.embedding or ())},
     )
     if pattern.m >= 1:
-        measured = _measure_ffree(built, pattern, ffree_budget)
+        measured = _measure_ffree(built, pattern, PART1_FFREE_BUDGET)
         measured["yardstick"] = 2.0 * n * pattern.n * math.log(pattern.n) / d
         cert.add_measurement("max_pattern_free", measured)
     return built, cert

@@ -7,45 +7,50 @@ from erdos_rogers import (
     InputError,
     SeededRng,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
-    efr_hypergraph,
     is_hom_free,
-    line_intersection_graph,
     named_graph,
-    path_graph,
     random_blowup,
     square_clique_cover,
     theorem1_failure_bound,
-    vertex_clique_cover,
 )
 from erdos_rogers.graphs import Graph, triangle_witness
 from oracles import blowup_hom_oracle, gnp_graph, hom_exists
 
 SEEDS = [0, 1, 5, 17, 99]
 
-# line-graph-of-a-matching style host: two disjoint triangles as cliques
-HOST = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-COVER = CliqueCover(HOST, [(0, 1, 2), (3, 4, 5)])
+# line-graph-of-a-matching style cover: two disjoint triangles
+COVER = CliqueCover(6, [(0, 1, 2), (3, 4, 5)])
+COVER_EDGES = {pair for clique in COVER.cliques for pair in combinations(clique, 2)}
+
+
+def clique_colorings(cover, pattern, seed):
+    """The substream contract: clique i draws one color per vertex, in
+    ascending vertex order, from substream clique-i of SeededRng(seed, "b")."""
+    rng = SeededRng(seed, "b")
+    colorings = []
+    for i, clique in enumerate(cover.cliques):
+        stream = rng.substream(f"clique-{i}")
+        colorings.append({v: stream.randrange(pattern.n) for v in clique})
+    return colorings
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_blowup_subset_of_cover_edges(seed):
-    g, coloring = random_blowup(COVER, cycle_graph(5), SeededRng(seed, "b"))
-    assert g.n == HOST.n
-    for u, v in g.edges():
-        assert HOST.has_edge(u, v)
+    g = random_blowup(COVER, cycle_graph(5), SeededRng(seed, "b"))
+    assert g.n == COVER.n
+    assert set(g.edges()) <= COVER_EDGES
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_blowup_replay_identical(seed):
     pattern = cycle_graph(5)
-    g, coloring = random_blowup(COVER, pattern, SeededRng(seed, "b"))
+    g = random_blowup(COVER, pattern, SeededRng(seed, "b"))
     # the colorings alone re-derive the graph: a cover edge survives
     # exactly when its clique colors its ends pattern-adjacently
-    again = Graph(HOST.n, [
+    again = Graph(COVER.n, [
         (u, v)
-        for clique, col in zip(COVER.cliques, coloring.colorings)
+        for clique, col in zip(COVER.cliques, clique_colorings(COVER, pattern, seed))
         for u, v in combinations(clique, 2)
         if pattern.has_edge(col[u], col[v])
     ])
@@ -55,19 +60,16 @@ def test_blowup_replay_identical(seed):
 def test_blowup_respects_pattern_adjacency():
     # within a clique, vertices meet exactly when their colors do
     pattern = named_graph("k2")
-    g, coloring = random_blowup(COVER, pattern, SeededRng(3, "b"))
-    for col in coloring.colorings:
-        verts = sorted(col)
-        for i, u in enumerate(verts):
-            for v in verts[i + 1 :]:
-                assert g.has_edge(u, v) == pattern.has_edge(col[u], col[v])
+    g = random_blowup(COVER, pattern, SeededRng(3, "b"))
+    for col in clique_colorings(COVER, pattern, 3):
+        for u, v in combinations(sorted(col), 2):
+            assert g.has_edge(u, v) == pattern.has_edge(col[u], col[v])
 
 
 def test_blowup_triangle_free_when_pattern_is():
     rng = SeededRng(11, "tri")
-    big = complete_graph(12)
-    cover = CliqueCover(big, [tuple(range(12))])
-    g, _ = random_blowup(cover, cycle_graph(5), rng)
+    cover = CliqueCover(12, [tuple(range(12))])
+    g = random_blowup(cover, cycle_graph(5), rng)
     assert triangle_witness(g) is None
 
 
@@ -127,50 +129,25 @@ def test_is_hom_free_matches_product_oracle(seed):
 def test_failure_bound_monotone_in_R():
     small = theorem1_failure_bound(5, 20, 1000)
     big = theorem1_failure_bound(5, 200, 1000)
-    assert big.log_expected < small.log_expected
+    assert big["log_expected"] < small["log_expected"]
 
 
 def test_failure_bound_guarantee_flag():
     # generous R drives the union bound below one
     fb = theorem1_failure_bound(3, 4000, 10**6)
-    assert fb.guaranteed
-    assert theorem1_failure_bound(3, 1, 10**6).guaranteed is False
+    assert fb["guaranteed"]
+    assert theorem1_failure_bound(3, 1, 10**6)["guaranteed"] is False
 
 
-def test_blowup_rejects_non_clique_cover():
-    bad = CliqueCover(path_graph(3), [(0, 1, 2)])
-    with pytest.raises(InputError):
-        random_blowup(bad, named_graph("k2"), SeededRng(0, "x"))
-
-
-@pytest.mark.parametrize(
-    "cover",
-    [
-        CliqueCover(complete_graph(4), [(0, 1, 2), (1, 2, 3)]),
-        CliqueCover.union(4, [(0, 1, 2), (1, 2, 3)]),
-    ],
-    ids=["host", "union"],
-)
-def test_blowup_rejects_overlapping_cliques(cover):
+def test_blowup_rejects_overlapping_cliques():
+    cover = CliqueCover(4, [(0, 1, 2), (1, 2, 3)])
     with pytest.raises(InputError) as exc:
         random_blowup(cover, named_graph("k2"), SeededRng(0, "x"))
     assert str(exc.value) == "cover cliques are not edge-disjoint"
     assert exc.value.witness == {"cliques": [0, 1], "shared_pair": [1, 2]}
-
-
-def test_union_cover_blowup_matches_hosted_cover():
-    h = efr_hypergraph(2, 25, 5).hypergraph
-    union = vertex_clique_cover(h)
-    line, hosted = line_intersection_graph(h)
-    assert union.host is None and union.n == line.n
-    assert union.cliques == hosted.cliques
-    assert union.validate().passed and hosted.validate().passed
-    a, ca = random_blowup(union, cycle_graph(5), SeededRng(4, "u"))
-    b, cb = random_blowup(hosted, cycle_graph(5), SeededRng(4, "u"))
-    assert a == b
-    assert ca.colorings == cb.colorings
+    assert cover.validate().witness == {"kind": "overlap", "cliques": [0, 1], "shared_pair": [1, 2]}
 
 
 def test_union_cover_rejects_out_of_range_vertex():
     with pytest.raises(InputError):
-        CliqueCover.union(3, [(0, 1, 3)])
+        CliqueCover(3, [(0, 1, 3)])

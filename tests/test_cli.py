@@ -225,6 +225,19 @@ def test_theorem4_part1_girth_target_too_small_exit_3(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("n,d", [(10, 0), (10, -2), (0, 5)])
+def test_theorem4_part1_nonpositive_n_or_d_exit_3(tmp_path, capsys, n, d):
+    out = str(tmp_path / "t41.g")
+    code, _, err = run(
+        ["construct", "theorem4-part1", "--g", "c5", "--f", "k2", "--n", str(n), "--d", str(d),
+         "--girth-target", "10", "--out", out],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(err)["witness"] == {"n": n, "d": d}
+    assert not os.path.exists(out)
+
+
 def test_pipeline_ckfree_precondition_exit_3(tmp_path, capsys):
     k5 = str(tmp_path / "k5.g")
     write_graph(k5, named_graph("k5"))

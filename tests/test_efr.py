@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from erdos_rogers import (
+    Hypergraph,
     InputError,
     density_floor,
     efr_certificate,
@@ -9,6 +12,7 @@ from erdos_rogers import (
     hypergraph_is_triangle_free,
     sphere_points,
 )
+from erdos_rogers.hypergraphs import hypergraph_to_text
 from oracles import sphere_count
 
 
@@ -90,3 +94,44 @@ def test_efr_certificate_contents():
     assert cert.all_passed()
     assert cert.parameters["d"] == 2
     assert cert.measurements["declared_n"] == 350
+
+
+# sha256 of hypergraph_to_text and of the efr_certificate bytes; how the
+# builder and the audits are arranged must not change either
+EFR_SHA256 = {
+    (2, 5, 3): (
+        "b5d287b637dc13706236c1335c5a397c6f710dbb937544ce17b6ac8b96d6728b",
+        "e1e99e0ed38683d708928708a66f487698eb6533fb7a808ae36ae8e383a68991",
+    ),
+    (2, 25, 5): (
+        "145e8cdf69aad19e645f4cd2bd01efe5d18dcd50ee5bb25b358d318fd37d4cfa",
+        "c761df739c83bf7e635994d30c8c58aeecb496b77e23afafcaed70925d0190f3",
+    ),
+    (3, 9, 3): (
+        "71906fd12e78838a840d19aab2d311511af3e48d172791cdb5dda52914b49256",
+        "6f7c707d52a708e7eb7fd27db2b88f3581ca6d4dc474822fc68dd74d30597ce6",
+    ),
+}
+
+
+@pytest.mark.parametrize("params", sorted(EFR_SHA256))
+def test_efr_bytes_pinned(params):
+    inst = efr_hypergraph(*params)
+    text_sha, cert_sha = EFR_SHA256[params]
+    assert hashlib.sha256(hypergraph_to_text(inst.hypergraph).encode()).hexdigest() == text_sha
+    assert hashlib.sha256(efr_certificate(inst).to_json_bytes()).hexdigest() == cert_sha
+
+
+def test_efr_certificate_of_non_linear_instance():
+    # a last edge through the first two vertices of edge 0 breaks linearity
+    inst = efr_hypergraph(2, 5, 3)
+    h = inst.hypergraph
+    a, b, c = h.edges[0]
+    extra = (a, b, c + 1 if c + 1 < inst.declared_n else c - 1)
+    inst.hypergraph = Hypergraph(h.n, h.edges + (extra,), h.r)
+    preds = efr_certificate(inst).predicates
+    assert preds["linear"] == {
+        "passed": False,
+        "witness": {"edges": [0, h.m], "shared_vertices": [a, b]},
+    }
+    assert preds["triangle_free"] == {"passed": False, "witness": {"skipped": "input not linear"}}
