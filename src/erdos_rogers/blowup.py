@@ -21,20 +21,20 @@ def random_blowup(cover, pattern, rng):
     Requires pairwise edge-disjoint cliques (InputError with witness
     otherwise).  Each clique i draws its colors, in ascending vertex
     order, from the substream labeled clique-i, so colorings are
-    independent of enumeration order elsewhere.
+    independent of enumeration order elsewhere.  Edge-disjoint cliques
+    cover each edge once, so every pair is decided inside its own clique
+    as soon as that clique is colored.
     """
     if pattern.n < 1:
         raise InputError("pattern needs at least one vertex")
-    edge_map = cover.edge_clique_map()  # raises with witness on bad covers
-    colorings = []
-    for i, clique in enumerate(cover.cliques):
-        stream = rng.substream(f"clique-{i}")
-        colorings.append({v: stream.randrange(pattern.n) for v in clique})
+    cover.edge_clique_map()  # raises with witness on bad covers
+    t = pattern.n
+    prows = pattern.rows()
     kept = []
-    for (u, v), i in edge_map.items():
-        col = colorings[i]
-        if pattern.has_edge(col[u], col[v]):
-            kept.append((u, v))
+    for i, clique in enumerate(cover.cliques):
+        draw = rng.substream(f"clique-{i}").randrange
+        colored = [(v, draw(t)) for v in clique]
+        kept.extend([(u, v) for (u, cu), (v, cv) in combinations(colored, 2) if (prows[cu] >> cv) & 1])
     return Graph(cover.n, kept)
 
 

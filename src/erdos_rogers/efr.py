@@ -13,6 +13,7 @@ part X_{i+1}.  Exactly |A| * r^d edges, one vertex per part per edge.
 
 import math
 from itertools import product
+from operator import add, mul
 
 from .certificates import Certificate
 from .errors import InputError
@@ -120,16 +121,20 @@ def efr_hypergraph(d, r, R):
     for s in part_sizes[:-1]:
         part_offsets.append(part_offsets[-1] + s)
     inst = EFRInstance(d, r, R, None, sphere, part_sizes, part_offsets)
-    vertex_id = inst.vertex_id
+    # vertex_id is linear in the point, so id(part i+1, x + i*a) splits as
+    # start[i][x] + step[i][a]: the lattice index of x - 1 in part i+1 plus
+    # i times the index weight of a
+    corners = list(product(range(r), repeat=d))
+    starts = []
+    steps = []
+    for i in range(R):
+        weights = [((i + 1) * r) ** (d - 1 - j) for j in range(d)]
+        starts.append([part_offsets[i] + sum(map(mul, x, weights)) for x in corners])
+        steps.append([i * sum(map(mul, a, weights)) for a in sphere])
+    walks = list(zip(*steps))  # per direction a, what it adds in each part
     edges = []
-    for x in product(range(1, r + 1), repeat=d):
-        for a in sphere:
-            edge = []
-            point = x
-            for i in range(R):
-                edge.append(vertex_id(i + 1, point))
-                point = tuple(point[j] + a[j] for j in range(d))
-            edges.append(tuple(edge))
+    for start in zip(*starts):
+        edges.extend(tuple(map(add, start, walk)) for walk in walks)
     inst.hypergraph = Hypergraph(inst.declared_n, edges, R)
     return inst
 
@@ -166,8 +171,8 @@ def efr_certificate(inst):
             (inst.r / math.sqrt(inst.d)) ** (inst.d - 4),
         )
 
-    # the triangle audit sweeps for linearity first and refuses a
-    # non-linear input with the violating pair as its witness
+    # the triangle audit checks linearity first and refuses a non-linear
+    # input with the violating pair as its witness
     try:
         triangle_free = hypergraph_is_triangle_free(h)
     except InputError as exc:

@@ -6,6 +6,9 @@ time and the structure is immutable afterwards, so graphs can be shared
 freely between search engines.
 """
 
+from itertools import combinations, groupby
+from operator import itemgetter
+
 from .errors import FormatError, InputError, SelfCheckError
 
 # The largest vertex count a graph or hypergraph file may declare, checked
@@ -75,7 +78,7 @@ def as_mask(s):
 class Graph:
     """Undirected simple graph; vertices 0..n-1, bit-row adjacency."""
 
-    __slots__ = ("n", "_rows", "_m")
+    __slots__ = ("n", "_rows", "_m", "_edges")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -94,6 +97,7 @@ class Graph:
         self.n = n
         self._rows = tuple(rows)
         self._m = m
+        self._edges = None
 
     @property
     def m(self):
@@ -122,12 +126,26 @@ class Graph:
         return tuple(bits(self._rows[v]))
 
     def edges(self):
-        out = []
-        for u in range(self.n):
-            r = self._rows[u] >> (u + 1)
-            for w in bits(r):
-                out.append((u, u + 1 + w))
-        return out
+        """The edges (u, v), u < v, in lexicographic order, as a new list."""
+        return list(self.upper_edges())
+
+    def upper_edges(self):
+        """The tuple of edges (u, v), u < v, in lexicographic order, built on
+        the first call and kept.  Each row's bits above u are taken top bit
+        first, so every step shortens the int it works on; the rows are
+        walked from the last, and the list is reversed once at the end."""
+        if self._edges is None:
+            out = []
+            rows = self._rows
+            for u in range(self.n - 1, -1, -1):
+                r = rows[u] >> (u + 1)
+                while r:
+                    w = r.bit_length() - 1
+                    out.append((u, u + 1 + w))
+                    r ^= 1 << w
+            out.reverse()
+            self._edges = tuple(out)
+        return self._edges
 
     def full_mask(self):
         return (1 << self.n) - 1
@@ -234,7 +252,7 @@ def blowup_graph(base, sizes):
         offsets.append(total)
         total += s
     edges = []
-    for u, v in base.edges():
+    for u, v in base.upper_edges():
         for i in range(sizes[u]):
             for j in range(sizes[v]):
                 edges.append((offsets[u] + i, offsets[v] + j))
@@ -363,7 +381,7 @@ def is_clique(g):
 def bipartition_violation(g, left):
     """None if every edge crosses (left, complement); else a witness edge."""
     lm = as_mask(left)
-    for u, v in g.edges():
+    for u, v in g.upper_edges():
         if bool((lm >> u) & 1) == bool((lm >> v) & 1):
             return (u, v)
     return None
@@ -463,12 +481,19 @@ def _tree_path(v, top, parent):
 
 
 def triangle_witness(g):
-    """A triangle (u, v, w) of g, or None.  Exhaustive bit-row scan."""
-    for u, v in g.edges():
-        common = g.row(u) & g.row(v)
-        if common:
-            w = next(bits(common))
-            return (u, v, w)
+    """The first triangle (u, v, w) of g, or None: (u, v) is the first edge
+    in lexicographic order with a common neighbour, and w the least one.
+
+    Every common neighbour w of that edge exceeds v, since w < v would put
+    the triangle on the earlier edge (min(u, w), max(u, w)).  So the scan
+    looks, for u ascending, for an edge (v, w) between two of the
+    neighbours v < w of u above u, the pairs taken in lexicographic order."""
+    edges = g.upper_edges()
+    present = set(edges)
+    for u, group in groupby(edges, itemgetter(0)):
+        above = [v for _, v in group]
+        if len(above) > 1 and not present.isdisjoint(combinations(above, 2)):
+            return next((u, v, w) for v, w in combinations(above, 2) if (v, w) in present)
     return None
 
 
@@ -478,7 +503,7 @@ def triangle_witness(g):
 
 def graph_to_text(g):
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend([f"{u} {v}" for u, v in g.upper_edges()])
     return "\n".join(lines) + "\n"
 
 

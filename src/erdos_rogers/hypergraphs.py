@@ -13,9 +13,10 @@ meeting in exactly one vertex and all other pairs disjoint.
 """
 
 from itertools import combinations
+from operator import lt
 
 from .covers import Audit, CliqueCover
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, SelfCheckError
 from .graphs import Graph, _check_vertex_count, read_text
 
 
@@ -28,25 +29,11 @@ class Hypergraph:
     def __init__(self, n, edges, r=None):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        canon = []
-        seen = set()
-        for e in edges:
-            t = tuple(e)
-            if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-                raise InputError("edge vertices must be strictly increasing", witness={"edge": list(t)})
-            if not t or t[0] < 0 or t[-1] >= n:
-                raise InputError("edge vertex out of range", witness={"edge": list(t)})
-            if r is not None and len(t) != r:
-                raise InputError(
-                    f"edge size {len(t)} violates declared uniformity {r}",
-                    witness={"edge": list(t)},
-                )
-            if t in seen:
-                raise InputError("duplicate edge", witness={"edge": list(t)})
-            seen.add(t)
-            canon.append(t)
+        canon = tuple(map(tuple, edges))
+        if not (r and _uniform_edges_valid(canon, n, r)):
+            _check_each_edge(canon, n, r)
         self.n = n
-        self.edges = tuple(canon)
+        self.edges = canon
         self.r = r
 
     @property
@@ -54,15 +41,58 @@ class Hypergraph:
         return len(self.edges)
 
     def vertex_edges(self):
-        """incidence[v] = list of edge indices containing v."""
-        inc = [[] for _ in range(self.n)]
+        """incidence[v] = list of edge indices containing v, ascending; a
+        vertex in no edge has the shared empty tuple, so that only the
+        vertices in use get a list of their own."""
+        inc = [()] * self.n
         for i, e in enumerate(self.edges):
             for v in e:
-                inc[v].append(i)
+                through = inc[v]
+                if through:
+                    through.append(i)
+                else:
+                    inc[v] = [i]
         return inc
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m}, r={self.r})"
+
+
+def _uniform_edges_valid(edges, n, r):
+    """Whether r-vertex tuples pass every check of `_check_each_edge`,
+    tested column by column: position k below position k + 1 in every
+    edge, the first column at least 0, the last below n, no repeats."""
+    if not set(map(len, edges)) <= {r}:
+        return False
+    columns = list(zip(*edges))
+    if not columns:
+        return True
+    return (
+        all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
+        and min(columns[0]) >= 0
+        and max(columns[-1]) < n
+        and len(set(edges)) == len(edges)
+    )
+
+
+def _check_each_edge(edges, n, r):
+    """Check the edges one by one: InputError names the first that is not
+    strictly increasing, leaves range(n), breaks the uniformity r or
+    repeats an earlier edge, checked in that order."""
+    seen = set()
+    for t in edges:
+        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+            raise InputError("edge vertices must be strictly increasing", witness={"edge": list(t)})
+        if not t or t[0] < 0 or t[-1] >= n:
+            raise InputError("edge vertex out of range", witness={"edge": list(t)})
+        if r is not None and len(t) != r:
+            raise InputError(
+                f"edge size {len(t)} violates declared uniformity {r}",
+                witness={"edge": list(t)},
+            )
+        if t in seen:
+            raise InputError("duplicate edge", witness={"edge": list(t)})
+        seen.add(t)
 
 
 def hypergraph_is_linear(h):
@@ -91,32 +121,65 @@ def hypergraph_is_triangle_free(h):
 
     The witness is the first triangle in this order: shared vertex v of the
     first two edges ascending, then the pairs i < j of edges through v in
-    incidence order, then the third edge k > j ascending."""
-    lin = hypergraph_is_linear(h)
-    if not lin.passed:
+    incidence order, then the third edge k > j ascending.
+
+    Both checks count the upper neighbour sets up[i], the edges k > i that
+    meet edge i, instead of sweeping pairs.  Edge i meets at most
+    sum_{v in e_i} |{k in K_v : k > i}| later edges, with equality exactly
+    when each of them shares a single vertex with it, so h is linear iff
+    the sizes |up[i]| sum to sum_v C(deg v, 2); only a non-linear h runs
+    `hypergraph_is_linear`, for its witness.  In a linear h, a pair i < j
+    through v has a common neighbour k > j off v exactly when the sets
+    up[i] - K_v, i in K_v, are not disjoint, that is when their union has
+    fewer than d - 1 + sum_i |up[i]| - C(d, 2) members, d = |K_v| (the part
+    inside K_v is K_v less its least edge).  So the ordered pair scan runs
+    at the first vertex that fails this test, and finds the witness there."""
+    edges = h.edges
+    # one pass from the last edge: inc[v] lists the edges through v in
+    # descending order, and up[i] collects the later edges through e_i
+    inc = [()] * h.n
+    up = [None] * h.m
+    for i in range(h.m - 1, -1, -1):
+        later = set()
+        for v in edges[i]:
+            through = inc[v]
+            if through:
+                later.update(through)
+                through.append(i)
+            else:
+                inc[v] = [i]
+        up[i] = later
+    pairs = 0  # sum_v C(deg v, 2)
+    first_failed = None
+    for v, through in enumerate(inc):
+        d = len(through)
+        if d > 1:
+            pairs += d * (d - 1) // 2
+            if first_failed is None:
+                sets = [up[i] for i in through]
+                if len(set().union(*sets)) != d - 1 + sum(map(len, sets)) - d * (d - 1) // 2:
+                    first_failed = v
+    if sum(map(len, up)) != pairs:
+        lin = hypergraph_is_linear(h)
         raise InputError("triangle audit requires a linear hypergraph", witness=lin.witness)
-    inc = h.vertex_edges()
-    # nbr[i]: the edges meeting edge i, i itself included
-    nbr = [set() for _ in range(h.m)]
-    for idxs in inc:
-        for i in idxs:
-            nbr[i].update(idxs)
-    for v, idxs in enumerate(inc):
-        through = set(idxs)
-        for i, j in combinations(idxs, 2):
-            # linear, so a common neighbour k of i and j that avoids v meets
-            # them in two further, distinct vertices: a triangle
-            third = [k for k in (nbr[i] & nbr[j]) - through if k > j]
-            if third:
-                k = min(third)
-                (vik,) = set(h.edges[i]).intersection(h.edges[k])
-                (vjk,) = set(h.edges[j]).intersection(h.edges[k])
-                return Audit(
-                    "triangle_free",
-                    False,
-                    {"edges": [i, j, k], "pairwise_vertices": [v, vik, vjk]},
-                )
-    return Audit("triangle_free", True)
+    if first_failed is None:
+        return Audit("triangle_free", True)
+    v = first_failed
+    through = inc[v][::-1]
+    for i, j in combinations(through, 2):
+        # linear, so a common later neighbour k of i and j that avoids v
+        # meets them in two further, distinct vertices: a triangle
+        third = (up[i] & up[j]).difference(through)
+        if third:
+            k = min(third)
+            (vik,) = set(edges[i]).intersection(edges[k])
+            (vjk,) = set(edges[j]).intersection(edges[k])
+            return Audit(
+                "triangle_free",
+                False,
+                {"edges": [i, j, k], "pairwise_vertices": [v, vik, vjk]},
+            )
+    raise SelfCheckError(f"the union test failed at vertex {v}, but no pair through it closes a triangle")
 
 
 class LooseCycle:
@@ -260,7 +323,7 @@ def line_intersection_graph(h):
 def hypergraph_to_text(h):
     head = f"{h.n} {h.m}" if h.r is None else f"{h.n} {h.m} {h.r}"
     lines = [head]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
+    lines.extend([" ".join(map(str, e)) for e in h.edges])
     return "\n".join(lines) + "\n"
 
 

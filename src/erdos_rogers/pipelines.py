@@ -626,12 +626,15 @@ def theorem4_part1_build(g, pattern, n, d, girth_target, rng):
     """Near-d-regular bipartite graph, pruned of short cycles, squared into
     a clique cover, then blown up with the pattern.
 
-    Requires n >= 1, d >= 1, no homomorphism from g into the pattern
-    (witnessed otherwise) and that g contains a cycle.  The output is
+    Requires 1 <= d <= n (a vertex of one n-vertex side has at most n
+    neighbours), no homomorphism from g into the pattern (witnessed
+    otherwise) and that g contains a cycle.  The output is
     scanned for copies of g; the measured max pattern-free subset is
     reported against the 2 n |V(F)| ln|V(F)| / d yardstick."""
     if n < 1 or d < 1:
         raise InputError("need n >= 1 and d >= 1", witness={"n": n, "d": d})
+    if d > n:
+        raise InputError("degree d exceeds the side size n", witness={"n": n, "d": d})
     ok, hom = is_hom_free(pattern, g)
     if not ok:
         raise InputError(

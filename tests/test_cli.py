@@ -238,6 +238,18 @@ def test_theorem4_part1_nonpositive_n_or_d_exit_3(tmp_path, capsys, n, d):
     assert not os.path.exists(out)
 
 
+def test_theorem4_part1_degree_above_n_exit_3(tmp_path, capsys):
+    out = str(tmp_path / "t41.g")
+    code, _, err = run(
+        ["construct", "theorem4-part1", "--g", "c5", "--f", "k2", "--n", "3", "--d", "5",
+         "--girth-target", "10", "--seed", "1", "--out", out],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(err)["witness"] == {"n": 3, "d": 5}
+    assert not os.path.exists(out)
+
+
 def test_pipeline_ckfree_precondition_exit_3(tmp_path, capsys):
     k5 = str(tmp_path / "k5.g")
     write_graph(k5, named_graph("k5"))

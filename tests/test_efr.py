@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -75,6 +76,20 @@ def test_efr_vertex_id_round_trip():
     assert inst.vertex_id(1, (1, 1)) == inst.part_offsets[0]
     assert inst.vertex_id(2, (1, 1)) == inst.part_offsets[1]
     assert inst.vertex_id(2, (10, 10)) == inst.part_offsets[1] + 99
+
+
+@pytest.mark.parametrize("d,r,R", [(2, 5, 3), (3, 9, 3), (4, 5, 3)])
+def test_efr_edges_follow_the_point_walk(d, r, R):
+    # the builder adds per-part offsets; the edge of (x, a) must still be
+    # the ids of the points x, x + a, ..., x + (R - 1) a, in that order
+    inst = efr_hypergraph(d, r, R)
+    walks = []
+    for x in product(range(1, r + 1), repeat=d):
+        for a in sphere_points(d, r):
+            walks.append(
+                tuple(inst.vertex_id(i + 1, tuple(c + i * s for c, s in zip(x, a))) for i in range(R))
+            )
+    assert list(inst.hypergraph.edges) == walks
 
 
 def test_efr_rejects_empty_direction_set():

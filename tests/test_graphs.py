@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erdos_rogers import (
     FormatError,
@@ -274,3 +276,63 @@ def test_empty_graph():
     g = empty_graph(4)
     assert g.n == 4 and g.m == 0
     assert len(connected_components(g)) == 4
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 0..14 vertices from drawn pairs in either orientation,
+    repeats allowed; vertices no pair names stay isolated."""
+    n = draw(st.integers(0, 14))
+    if n < 2:
+        return Graph(n)
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=40))
+    return Graph(n, pairs)
+
+
+def first_triangle_by_pairs(g):
+    """The first edge (u, v) in lexicographic order with a common
+    neighbour, and its least common neighbour w."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                for w in range(g.n):
+                    if g.has_edge(u, w) and g.has_edge(v, w):
+                        return (u, v, w)
+    return None
+
+
+def _edge_scan_hosts():
+    yield Graph(0)
+    yield Graph(1)
+    yield Graph(6, [(4, 1)])
+    yield from _short_cycle_hosts()
+    for seed in SEEDS:
+        yield gnp_graph(40, 0.15, SeededRng(seed, "edge-scan"))
+
+
+@pytest.mark.parametrize("g", list(_edge_scan_hosts()), ids=repr)
+def test_edges_match_pair_scan(g):
+    expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+    assert g.edges() == expected
+    assert len(expected) == g.m
+    assert triangle_witness(g) == first_triangle_by_pairs(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_edges_and_triangle_witness_match_pair_scans(g):
+    expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+    assert g.edges() == expected
+    assert triangle_witness(g) == first_triangle_by_pairs(g)
+
+
+def test_edges_returns_a_new_list_each_call():
+    g = petersen_graph()
+    first = g.edges()
+    expected = list(first)
+    first.clear()
+    first.append((0, 9))
+    assert g.edges() == expected
+    assert g.edges() is not g.edges()
+    assert graph_to_text(g).splitlines()[1:] == [f"{u} {v}" for u, v in expected]

@@ -42,26 +42,50 @@ def test_triangle_free_rejects_nonlinear_input():
 
 
 @st.composite
-def linear_3_graphs(draw):
-    """A linear 3-graph on at most 10 vertices: drawn triples in draw
-    order, each kept unless it shares two vertices with a kept one."""
+def three_graphs(draw, linear=True):
+    """A 3-graph on at most 10 vertices: the distinct drawn triples in draw
+    order; with linear set, each is kept unless it shares two vertices with
+    a kept one."""
     n = draw(st.integers(3, 10))
     triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
     kept = []
     for t in draw(st.lists(triple, max_size=14)):
         e = tuple(sorted(t))
-        if all(len(set(e) & set(f)) <= 1 for f in kept):
+        if e not in kept and (not linear or all(len(set(e) & set(f)) <= 1 for f in kept)):
             kept.append(e)
     return Hypergraph(n, kept, 3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(linear_3_graphs())
+@given(three_graphs())
 def test_triangle_audit_matches_first_loose_triangle(h):
     audit = hypergraph_is_triangle_free(h)
     expected = first_loose_triangle(h)
     assert audit.passed == (expected is None)
     assert audit.witness == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(three_graphs(linear=False))
+def test_triangle_audit_refuses_nonlinear_with_the_linearity_witness(h):
+    linear = hypergraph_is_linear(h)
+    if linear.passed:
+        assert hypergraph_is_triangle_free(h).witness == first_loose_triangle(h)
+    else:
+        with pytest.raises(InputError) as exc:
+            hypergraph_is_triangle_free(h)
+        assert exc.value.witness == linear.witness
+
+
+def test_triangle_reported_at_the_vertex_of_its_two_smallest_edges():
+    # edges 1, 2 meet at vertex 0 and edges 0, 2 at vertex 3, both below
+    # vertex 5 where edges 0, 1 meet; the scan through vertex 0 or 3 only
+    # finds the third edge below the pair's larger one, so the triangle
+    # belongs to vertex 5
+    h = Hypergraph(9, [(3, 5, 6), (0, 5, 7), (0, 3, 8), (1, 2, 4)], 3)
+    audit = hypergraph_is_triangle_free(h)
+    assert audit.witness == {"edges": [0, 1, 2], "pairwise_vertices": [5, 3, 0]}
+    assert audit.witness == first_loose_triangle(h)
 
 
 @pytest.mark.parametrize("length", [2, 3, 4])
@@ -104,6 +128,24 @@ def test_line_graph_cover_maps_every_edge():
 def test_uniformity_enforced():
     with pytest.raises(InputError):
         Hypergraph(5, [(0, 1, 2), (3, 4)], 3)
+
+
+@pytest.mark.parametrize(
+    "edges,fragment,bad",
+    [
+        ([(0, 1, 2), (1, 2, 5)], "out of range", (1, 2, 5)),
+        ([(-1, 1, 2)], "out of range", (-1, 1, 2)),
+        ([(0, 2, 1), (1, 2, 9)], "strictly increasing", (0, 2, 1)),
+        ([(0, 1, 1)], "strictly increasing", (0, 1, 1)),
+        ([(0, 1, 2), (2, 3, 4), (0, 1, 2)], "duplicate", (0, 1, 2)),
+        ([(0, 1, 2), (3, 4), (0, 1, 9)], "uniformity", (3, 4)),
+    ],
+)
+def test_edge_checks_name_the_first_bad_edge(edges, fragment, bad):
+    with pytest.raises(InputError) as exc:
+        Hypergraph(5, edges, 3)
+    assert fragment in str(exc.value)
+    assert exc.value.witness == {"edge": list(bad)}
 
 
 def test_text_round_trip():

@@ -140,23 +140,41 @@ except ImportError:
     resource = None
 
 PEAK_RSS_PROBE = """
-import resource, sys
-from erdos_rogers import SeededRng, named_graph, theorem1_build
-theorem1_build(2, 65, 6, named_graph("c5"), SeededRng(1, "theorem1"))
-unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
+import hashlib, resource, sys
+from erdos_rogers import SeededRng, graph_to_text, named_graph, theorem1_build
+g, cert = theorem1_build(2, 65, 6, named_graph("c5"), SeededRng(1, "theorem1"))
+# on Linux a child keeps its parent's ru_maxrss across exec, so the test
+# runner's own peak would count; VmHWM is this process's high-water mark
+try:
+    with open("/proc/self/status") as fh:
+        print(next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmHWM:")))
+except OSError:
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
+print(hashlib.sha256(graph_to_text(g).encode()).hexdigest())
+print(hashlib.sha256(cert.to_json_bytes()).hexdigest())
 """
+
+# sha256 of graph_to_text and of the certificate bytes of the probe's build,
+# the referee-size theorem-1 instance (33,800 vertices)
+THEOREM1_REFEREE_SHA256 = (
+    "0eb0b8534ad6480b1df31b1a58b7604c2132990fd1f94483e42239c02a4ce8f3",
+    "7a0d7562a418c7435608a70219d89b6f8bc2a179550ecf3019fb2dc7e83c7b71",
+)
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 def test_theorem1_peak_memory():
-    # 33,800 hyperedges: one 33,800-bit row per line-graph vertex or per
-    # cover clique would take the process past 400 MB
+    # 33,800 hyperedges: the output graph's 33,800-bit rows take 101 MB and
+    # the build peaked at 158 MB on Python 3.11; one more such row per
+    # line-graph vertex or per cover clique would pass 250 MB
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(erdos_rogers.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    assert float(out.stdout) < 300
+    peak_mb, graph_sha, cert_sha = out.stdout.split()
+    assert float(peak_mb) < 190
+    assert (graph_sha, cert_sha) == THEOREM1_REFEREE_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +415,16 @@ def test_theorem4_part1_rejects_girth_target_below_twice_g():
     with pytest.raises(InputError) as exc:
         theorem4_part1_build(cycle_graph(5), named_graph("k2"), 48, 5, 8, SeededRng(3, "x"))
     assert exc.value.witness == {"girth_target": 8, "required": 10}
+
+
+def test_theorem4_part1_rejects_degree_above_n():
+    # a left vertex has only n right vertices to meet, so degree d > n
+    # cannot be reached and the yardstick 2 n |V(F)| ln|V(F)| / d is void
+    with pytest.raises(InputError) as exc:
+        theorem4_part1_build(cycle_graph(5), named_graph("k2"), 3, 5, 10, SeededRng(1, "x"))
+    assert exc.value.witness == {"n": 3, "d": 5}
+    built, _ = theorem4_part1_build(cycle_graph(5), named_graph("k2"), 5, 5, 10, SeededRng(1, "x"))
+    assert built.n == 5
 
 
 def test_theorem4_part1_rejects_acyclic_g():
