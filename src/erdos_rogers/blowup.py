@@ -13,6 +13,7 @@ from itertools import combinations
 from .covers import CliqueCover
 from .errors import InputError
 from .graphs import Graph, as_mask, bipartition_violation, bits
+from .rng import _numbered_substreams
 
 
 def random_blowup(cover, pattern, rng):
@@ -30,9 +31,10 @@ def random_blowup(cover, pattern, rng):
     cover.edge_clique_map()  # raises with witness on bad covers
     t = pattern.n
     prows = pattern.rows()
+    clique_stream = _numbered_substreams(rng, "clique-")
     kept = []
     for i, clique in enumerate(cover.cliques):
-        draw = rng.substream(f"clique-{i}").randrange
+        draw = clique_stream(i).randrange
         colored = [(v, draw(t)) for v in clique]
         kept.extend([(u, v) for (u, cu), (v, cv) in combinations(colored, 2) if (prows[cu] >> cv) & 1])
     return Graph(cover.n, kept)

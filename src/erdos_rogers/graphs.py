@@ -1,9 +1,12 @@
-"""Simple graphs on {0..n-1} with bit-row adjacency, plus vertex sets and IO.
+"""Simple graphs on {0..n-1}, plus vertex sets and IO.
 
-Adjacency rows are Python ints used as bitsets: bit v of row(u) is set iff
-{u,v} is an edge.  Rows are kept symmetric and irreflexive at construction
-time and the structure is immutable afterwards, so graphs can be shared
-freely between search engines.
+A Graph holds its edges as a sorted tuple of pairs (u, v), u < v, or its
+adjacency as bit rows, Python ints used as bitsets: bit v of row(u) is set
+iff {u,v} is an edge.  It is built from either form and builds the other
+only when something asks for it, so a large graph that is only walked edge
+by edge (a theorem-1 blowup, its triangle audit and its text) never holds
+n n-bit rows, while the searches read rows.  Graphs are immutable, so they
+can be shared freely between search engines.
 """
 
 from itertools import combinations, groupby
@@ -76,64 +79,95 @@ def as_mask(s):
 
 
 class Graph:
-    """Undirected simple graph; vertices 0..n-1, bit-row adjacency."""
+    """Undirected simple graph on the vertices 0..n-1, held in one or both
+    of two forms:
 
-    __slots__ = ("n", "_rows", "_m", "_edges")
+    - the edge tuple `upper_edges()`, the edges (u, v), u < v, in
+      lexicographic order;
+    - the bit rows `rows()`, one int per vertex whose bit v is set iff
+      {u, v} is an edge.
+
+    `Graph(n, edges)` checks its edges and stores the edge tuple;
+    `Graph.from_rows(rows)` stores rows built by bit operations.  The
+    other form is built from the stored one on first use and kept.  Both
+    forms describe the same graph, which is immutable, and equality and
+    hash are those of (n, upper_edges()), whichever form was given."""
+
+    __slots__ = ("n", "_m", "_rows", "_edges")
 
     def __init__(self, n, edges=()):
+        """Pairs may come in either orientation and repeat; a self-loop or
+        an endpoint outside range(n) is refused, naming the first such
+        pair."""
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        rows = [0] * n
-        m = 0
+        upper = set()
         for u, v in edges:
             if u == v:
                 raise InputError("self-loop rejected", witness={"vertex": u})
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError("edge endpoint out of range", witness={"edge": [u, v]})
-            if not (rows[u] >> v) & 1:
-                m += 1
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            upper.add((u, v) if u < v else (v, u))
         self.n = n
-        self._rows = tuple(rows)
-        self._m = m
-        self._edges = None
+        self._edges = tuple(sorted(upper))
+        self._m = len(self._edges)
+        self._rows = None
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The graph on len(rows) vertices with these adjacency rows, taken
+        as given: the caller builds them symmetric, irreflexive and inside
+        range(len(rows))."""
+        g = cls.__new__(cls)
+        g._rows = tuple(rows)
+        g.n = len(g._rows)
+        g._m = sum(map(int.bit_count, g._rows)) // 2
+        g._edges = None
+        return g
 
     @property
     def m(self):
         return self._m
 
-    def row(self, v):
-        return self._rows[v]
-
     def rows(self):
-        """All adjacency rows, as a tuple indexed by vertex."""
+        """All adjacency rows, as a tuple indexed by vertex; built from the
+        edges on the first call and kept."""
+        if self._rows is None:
+            rows = [0] * self.n
+            for u, v in self._edges:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            self._rows = tuple(rows)
         return self._rows
 
+    def row(self, v):
+        return (self._rows or self.rows())[v]
+
     def has_edge(self, u, v):
-        return (self._rows[u] >> v) & 1 == 1
+        return ((self._rows or self.rows())[u] >> v) & 1 == 1
 
     def degree(self, v):
-        return self._rows[v].bit_count()
+        return (self._rows or self.rows())[v].bit_count()
 
     def degrees(self):
-        return [r.bit_count() for r in self._rows]
+        return list(map(int.bit_count, self.rows()))
 
     def max_degree(self):
-        return max((r.bit_count() for r in self._rows), default=0)
+        return max(map(int.bit_count, self.rows()), default=0)
 
     def neighbors(self, v):
-        return tuple(bits(self._rows[v]))
+        return tuple(bits(self.row(v)))
 
     def edges(self):
         """The edges (u, v), u < v, in lexicographic order, as a new list."""
         return list(self.upper_edges())
 
     def upper_edges(self):
-        """The tuple of edges (u, v), u < v, in lexicographic order, built on
-        the first call and kept.  Each row's bits above u are taken top bit
-        first, so every step shortens the int it works on; the rows are
-        walked from the last, and the list is reversed once at the end."""
+        """The tuple of edges (u, v), u < v, in lexicographic order.  From
+        rows it is built on the first call and kept: each row's bits above
+        u are taken top bit first, so every step shortens the int it works
+        on; the rows are walked from the last, and the list is reversed
+        once at the end."""
         if self._edges is None:
             out = []
             rows = self._rows
@@ -151,10 +185,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self._rows == other._rows
+        return isinstance(other, Graph) and self.n == other.n and self.upper_edges() == other.upper_edges()
 
     def __hash__(self):
-        return hash((self.n, self._rows))
+        return hash((self.n, self.upper_edges()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -171,17 +205,14 @@ def induced_subgraph(g, s):
 
 
 def induced_subgraph_with_map(g, s):
-    """(induced subgraph, tuple mapping new index -> original vertex)."""
+    """(induced subgraph, tuple mapping new index -> original vertex).  The
+    subgraph's rows are g's rows on s, with each member's bit moved to its
+    new index."""
     mask = as_mask(s)
     members = tuple(bits(mask))
-    index = {v: i for i, v in enumerate(members)}
-    edges = []
-    for v in members:
-        inner = g.row(v) & mask
-        for w in bits(inner):
-            if w > v:
-                edges.append((index[v], index[w]))
-    return Graph(len(members), edges), members
+    new_bit = {v: 1 << i for i, v in enumerate(members)}
+    rows = g.rows()
+    return Graph.from_rows([sum(map(new_bit.__getitem__, bits(rows[v] & mask))) for v in members]), members
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +332,7 @@ def random_regular_bipartite(a, b, d, rng):
     left_stubs = [v for v in range(a) for _ in range(d)]
     right_stubs = [a + v for v in range(b) for _ in range(d)]
     rng.shuffle(right_stubs)
-    edges = set(zip(left_stubs, right_stubs))
-    return Graph(a + b, sorted(edges))
+    return Graph(a + b, zip(left_stubs, right_stubs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +340,7 @@ def random_regular_bipartite(a, b, d, rng):
 # ---------------------------------------------------------------------------
 
 def connected_components(g):
+    rows = g.rows()
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -320,7 +351,7 @@ def connected_components(g):
         stack = [s]
         while stack:
             u = stack.pop()
-            for w in bits(g.row(u)):
+            for w in bits(rows[u]):
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)

@@ -309,10 +309,11 @@ def line_intersection_graph(h):
     cliques.
 
     For linear h the K_v are pairwise edge-disjoint and cover every edge of
-    G exactly once.  G stores an h.m-bit row per edge of h, so pipelines
-    that need only the cover use `vertex_clique_cover` instead."""
+    G exactly once.  G builds an h.m-bit row per edge of h once its rows
+    are read, so pipelines that need only the cover use
+    `vertex_clique_cover` instead."""
     cover = vertex_clique_cover(h)
-    graph = Graph(h.m, sorted({pair for clique in cover.cliques for pair in combinations(clique, 2)}))
+    graph = Graph(h.m, (pair for clique in cover.cliques for pair in combinations(clique, 2)))
     return graph, cover
 
 

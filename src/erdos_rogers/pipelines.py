@@ -541,15 +541,13 @@ def sunflower_budget(t, r, uniformity_t):
 
 def _place_copies(hstar, gstar, stream):
     placements = []
-    union_edges = set()
+    union_edges = []
     for idx, e in enumerate(hstar.edges):
         perm = list(range(len(e)))
         stream.substream(f"place-{idx}").shuffle(perm)
         placements.append(perm)
-        for a, b in gstar.edges():
-            u, v = e[perm[a]], e[perm[b]]
-            union_edges.add((min(u, v), max(u, v)))
-    return sorted(union_edges), placements
+        union_edges.extend((e[perm[a]], e[perm[b]]) for a, b in gstar.upper_edges())
+    return union_edges, placements
 
 
 def theorem4_part2_build(g, t, rng, try_all_pairs=False):
@@ -736,14 +734,15 @@ def ramsey_witness_check(host, f_pattern, g_pattern, t, rf_t):
 def _refinement_classes(g):
     """Iterated degree refinement; returns the class index per vertex with
     classes ordered by their invariant signatures."""
-    color = [g.degree(v) for v in range(g.n)]
+    rows = g.rows()
+    color = [row.bit_count() for row in rows]
     # normalize to ranks
     ranks = {c: i for i, c in enumerate(sorted(set(color)))}
     color = [ranks[c] for c in color]
     while True:
         sigs = []
         for v in range(g.n):
-            nbr = sorted(color[u] for u in bits(g.row(v)))
+            nbr = sorted(color[u] for u in bits(rows[v]))
             sigs.append((color[v], tuple(nbr)))
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
@@ -814,6 +813,14 @@ class BruteForceResult:
         return f"BruteForceResult(value={self.value}, exact={self.exact})"
 
 
+def _with_new_vertex(rows, nbhd):
+    """The graph with these rows plus vertex len(rows) joined to the
+    vertices of the mask nbhd, built from the rows: each neighbour's row
+    gains the new bit, and nbhd is the new row."""
+    bit = 1 << len(rows)
+    return Graph.from_rows([r | bit if (nbhd >> u) & 1 else r for u, r in enumerate(rows)] + [nbhd])
+
+
 def gfree_graph_reps(g_pattern, n, budget=None):
     """All g-free graphs on exactly n vertices up to isomorphism, built by
     vertex-by-vertex augmentation with canonical-form deduplication.
@@ -827,13 +834,13 @@ def gfree_graph_reps(g_pattern, n, budget=None):
     for size in range(1, n):
         seen = {}
         for base in reps:
-            base_edges = base.edges()
+            base_rows = base.rows()
             for nbhd in range(1 << size):
                 steps += 1
                 if budget is not None and steps > budget:
                     exact = False
                     break
-                cand = Graph(size + 1, base_edges + [(u, size) for u in bits(nbhd)])
+                cand = _with_new_vertex(base_rows, nbhd)
                 hit = contains_subgraph(cand, g_pattern, forced_vertex=size)
                 if hit.status == "found":
                     continue

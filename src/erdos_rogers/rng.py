@@ -17,17 +17,27 @@ _FLOAT_SCALE = 2.0 ** -53
 _BLOCK_WORDS = struct.Struct("<8Q")
 
 
+def _label_state(seed, label):
+    """The blake2b state fed with seed || 0x1f || label; its digest is the
+    key of the stream labeled label."""
+    return hashlib.blake2b(seed.to_bytes(8, "little") + b"\x1f" + label.encode("utf-8"), digest_size=32)
+
+
 class SeededRng:
     """Counter-based deterministic RNG keyed by (seed, label, counter)."""
 
     __slots__ = ("seed", "label", "_key", "_keyed", "_block", "_buf", "_pos")
 
     def __init__(self, seed, label="root"):
-        self.seed = int(seed) & _MASK64
-        self.label = str(label)
-        material = self.seed.to_bytes(8, "little") + b"\x1f" + self.label.encode("utf-8")
-        self._key = hashlib.blake2b(material, digest_size=32).digest()
-        self._keyed = hashlib.blake2b(key=self._key, digest_size=64)
+        seed = int(seed) & _MASK64
+        label = str(label)
+        self._start(seed, label, _label_state(seed, label).digest())
+
+    def _start(self, seed, label, key):
+        self.seed = seed
+        self.label = label
+        self._key = key
+        self._keyed = hashlib.blake2b(key=key, digest_size=64)
         self._block = 0
         self._buf = ()
         self._pos = 0
@@ -125,3 +135,22 @@ class SeededRng:
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, label={self.label!r})"
+
+
+def _numbered_substreams(rng, prefix):
+    """The function i -> rng.substream(f"{prefix}{i}"), giving the same
+    streams: the blake2b state fed with seed || 0x1f || label/prefix is
+    built once and copied for each i, which then only feeds in the digits
+    of i."""
+    label = f"{rng.label}/{prefix}"
+    head = _label_state(rng.seed, label)
+
+    def substream(i):
+        tail = str(i)
+        h = head.copy()
+        h.update(tail.encode())
+        stream = SeededRng.__new__(SeededRng)
+        stream._start(rng.seed, label + tail, h.digest())
+        return stream
+
+    return substream

@@ -19,24 +19,26 @@ from .subgraph import contains_subgraph
 def greedy_independent_set(g):
     """Repeatedly take a minimum-degree vertex and discard its neighbors.
     Always returns at least ceil(n / (max_degree + 1)) vertices."""
+    rows = g.rows()
     alive = g.full_mask()
     chosen = 0
     while alive:
         best = -1
         best_deg = None
         for v in bits(alive):
-            dv = (g.row(v) & alive).bit_count()
+            dv = (rows[v] & alive).bit_count()
             if best_deg is None or dv < best_deg:
                 best, best_deg = v, dv
         chosen |= 1 << best
-        alive &= ~(g.row(best) | (1 << best))
+        alive &= ~(rows[best] | (1 << best))
     return VertexSet(chosen)
 
 
 def _verify_independent(g, mask):
+    rows = g.rows()
     for v in bits(mask):
-        if g.row(v) & mask:
-            w = next(bits(g.row(v) & mask))
+        if rows[v] & mask:
+            w = next(bits(rows[v] & mask))
             raise SelfCheckError(f"set is not independent: edge ({v}, {w})")
 
 
@@ -68,6 +70,7 @@ def max_independent_set(g, budget=DEFAULT_SET_BUDGET):
     safe), otherwise we branch on a maximum-degree vertex.  On budget
     exhaustion the incumbent is returned with status "lower-bound"; it is
     never smaller than the greedy Turan floor."""
+    rows = g.rows()
     seed = greedy_independent_set(g)
     best_mask = seed.mask
     best_size = len(seed)
@@ -92,7 +95,7 @@ def max_independent_set(g, budget=DEFAULT_SET_BUDGET):
             pivot_deg = -1
             low = -1
             for v in bits(alive):
-                dv = (g.row(v) & alive).bit_count()
+                dv = (rows[v] & alive).bit_count()
                 if dv <= 1:
                     low = v
                     break
@@ -101,10 +104,10 @@ def max_independent_set(g, budget=DEFAULT_SET_BUDGET):
             if low >= 0:
                 cur_mask |= 1 << low
                 cur_size += 1
-                alive &= ~(g.row(low) | (1 << low))
+                alive &= ~(rows[low] | (1 << low))
                 continue
             # branch: include pivot, then exclude it
-            bb(alive & ~(g.row(pivot) | (1 << pivot)), cur_mask | (1 << pivot), cur_size + 1)
+            bb(alive & ~(rows[pivot] | (1 << pivot)), cur_mask | (1 << pivot), cur_size + 1)
             if exhausted:
                 return
             alive &= ~(1 << pivot)
@@ -185,6 +188,7 @@ def list_k_cycles(g, k, through=None, cap=None):
     after cap cycles and reports truncation.
     Returns (cycles, truncated)."""
     _check_cycle_args(g, k)
+    rows = g.rows()
     out = []
     truncated = False
 
@@ -193,12 +197,12 @@ def list_k_cycles(g, k, through=None, cap=None):
         if truncated:
             return
         if len(path) == k - 1:
-            if g.has_edge(last, root) and path[-1] > path[0]:
+            if (rows[last] >> root) & 1 and path[-1] > path[0]:
                 out.append((root,) + tuple(path))
                 if cap is not None and len(out) >= cap:
                     truncated = True
             return
-        for w in bits(g.row(last) & ~visited):
+        for w in bits(rows[last] & ~visited):
             if w == root or (restrict_gt and w < root):
                 continue
             path.append(w)
@@ -210,7 +214,7 @@ def list_k_cycles(g, k, through=None, cap=None):
     roots = [through] if through is not None else range(g.n)
     restrict = through is None
     for root in roots:
-        for s in bits(g.row(root)):
+        for s in bits(rows[root]):
             if restrict and s < root:
                 continue
             dfs(root, s, (1 << root) | (1 << s), [s], restrict)
@@ -297,7 +301,8 @@ def count_edges_between(g, xs, ys):
     """Ordered count: pairs (x, y) in X x Y with an edge.  Equals the plain
     edge count when X and Y are disjoint."""
     xm, ym = as_mask(xs), as_mask(ys)
-    return sum((g.row(x) & ym).bit_count() for x in bits(xm))
+    rows = g.rows()
+    return sum((rows[x] & ym).bit_count() for x in bits(xm))
 
 
 class DrcResult:
@@ -334,6 +339,7 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
         raise InputError("X and Y must be disjoint", witness={"shared": next(bits(xm & ym))})
     if s < 1:
         raise InputError("s >= 1 required")
+    rows = g.rows()
     x_list = list(bits(xm))
     y_list = list(bits(ym))
     nx, ny = len(x_list), len(y_list)
@@ -351,7 +357,7 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
             for a in range(len(wl)):
                 for b in range(a + 1, len(wl)):
                     u, v = wl[a], wl[b]
-                    codeg = (g.row(u) & g.row(v) & xm).bit_count()
+                    codeg = (rows[u] & rows[v] & xm).bit_count()
                     if codeg < threshold:
                         bad_counts[u] = bad_counts.get(u, 0) + 1
                         bad_counts[v] = bad_counts.get(v, 0) + 1
@@ -368,7 +374,7 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
         sample = [x_list[stream.randrange(nx)] for _ in range(s)]
         common = ym
         for x in sample:
-            common &= g.row(x)
+            common &= rows[x]
         z = clean(common)
         if z.bit_count() > best_mask.bit_count():
             best_mask = z
@@ -379,7 +385,7 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
     zl = list(bits(best_mask))
     for a in range(len(zl)):
         for b in range(a + 1, len(zl)):
-            codeg = (g.row(zl[a]) & g.row(zl[b]) & xm).bit_count()
+            codeg = (rows[zl[a]] & rows[zl[b]] & xm).bit_count()
             if codeg < threshold:
                 raise SelfCheckError(
                     f"pair ({zl[a]}, {zl[b]}) has {codeg} common neighbors < {threshold}"
@@ -432,6 +438,7 @@ def ckprop_dense_pair(g, v0, k):
     assumed; downstream users take the measured gamma.
     """
     _check_cycle_args(g, k)
+    rows = g.rows()
     d = g.max_degree()
     if d < 2:
         raise InputError("maximum degree must be at least 2")
@@ -455,7 +462,7 @@ def ckprop_dense_pair(g, v0, k):
         bucket_cycles = {}
         for cyc in survivors:
             v = cyc[i]
-            deg = (g.row(v) & prev_mask).bit_count()
+            deg = (rows[v] & prev_mask).bit_count()
             if deg == 0:
                 continue
             j = int(math.floor(math.log2(d / deg)))
@@ -467,14 +474,14 @@ def ckprop_dense_pair(g, v0, k):
         a_i = d / 2.0**best_j
         chosen_mask = 0
         for v in xi:
-            deg = (g.row(v) & prev_mask).bit_count()
+            deg = (rows[v] & prev_mask).bit_count()
             if deg == 0:
                 continue
             if int(math.floor(math.log2(d / deg))) == best_j:
                 chosen_mask |= 1 << v
         # per-level dyadic degree invariant
         for v in bits(chosen_mask):
-            deg = (g.row(v) & prev_mask).bit_count()
+            deg = (rows[v] & prev_mask).bit_count()
             if not (a_i / 2.0 <= deg <= a_i):
                 raise SelfCheckError(
                     f"level {i}: vertex {v} degree {deg} outside [{a_i / 2}, {a_i}]"

@@ -17,8 +17,10 @@ then repeatedly the vertex with most placed neighbors, ties to higher degree
 then lower index.  Anchors in one automorphism orbit of the pattern decide
 the same answer, so a forced search tries one anchor per orbit in turn.
 Those placement plans depend only on the pattern, so they are computed once
-per pattern, together with its edge tuple, and kept in a small LRU cache
-keyed on the (immutable, hashable) Graph.
+per pattern and kept in a small LRU cache keyed on its vertex count and
+edge tuple: a lookup then hashes and compares plain tuples, with no call
+back into Graph, and patterns built apart (every named_graph call builds a
+new one) share their plans.
 
 Whole-host scans (within=None) try host candidates in ascending (degree,
 index) order, which fixes the embedding they report as a witness; masked
@@ -30,7 +32,7 @@ about exhaustiveness.
 from functools import lru_cache
 
 from .errors import InputError, SelfCheckError
-from .graphs import bits
+from .graphs import Graph, bits
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -96,11 +98,10 @@ def _plan(pattern, first):
 
 
 @lru_cache(maxsize=64)
-def _placement_plans(pattern, anchored):
-    """(edges, plans) of a pattern: its edge tuple, against which found
-    embeddings are verified, and its unforced placement plan or, with
-    `anchored`, one plan per automorphism orbit of anchors, each placing its
-    anchor first.
+def _placement_plans(n, edges, anchored):
+    """The placement plans of the pattern Graph(n, edges): its unforced
+    plan or, with `anchored`, one plan per automorphism orbit of anchors,
+    each placing its anchor first.
 
     An embedding of the pattern into itself is an automorphism, so anchor b
     shares an orbit with an earlier anchor exactly when a search of the
@@ -108,9 +109,9 @@ def _placement_plans(pattern, anchored):
     first plan to succeed is then the least anchor of b's orbit.  Anchor b
     is kept when that first plan is its own, or when the self-search runs
     out of budget."""
-    edges = tuple(pattern.edges())
+    pattern = Graph(n, edges)
     if not anchored:
-        return edges, (_plan(pattern, None),)
+        return (_plan(pattern, None),)
     plans = tuple(_plan(pattern, b) for b in range(pattern.n))
     rows, full = pattern.rows(), pattern.full_mask()
     kept = []
@@ -118,7 +119,7 @@ def _placement_plans(pattern, anchored):
         status, index, _, _ = _run_plans(rows, plans, DEFAULT_BUDGET, 1 << b, full, None)
         if status == "unknown" or index == b:
             kept.append(plan)
-    return edges, tuple(kept)
+    return tuple(kept)
 
 
 def _verify_embedding(host, edges, mapping, within, forced_vertex):
@@ -190,9 +191,10 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
     """
     if pattern.n < 1:
         raise InputError("pattern needs at least one vertex")
+    rows = host.rows()
     if within is None:
         within = host.full_mask()
-        ranked = sorted(range(host.n), key=lambda v: (host.degree(v), v))
+        ranked = sorted(range(host.n), key=lambda v: (rows[v].bit_count(), v))
     elif within >> host.n:
         raise InputError("vertex mask names a vertex outside the host")
     else:
@@ -202,14 +204,14 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
     if pattern.n > within.bit_count():
         return SubgraphResult("absent")
 
-    edges, plans = _placement_plans(pattern, forced_vertex is not None)
+    plans = _placement_plans(pattern.n, pattern.upper_edges(), forced_vertex is not None)
     start = within if forced_vertex is None else 1 << forced_vertex
-    status, index, image, nodes = _run_plans(host.rows(), plans, budget, start, within, ranked)
+    status, index, image, nodes = _run_plans(rows, plans, budget, start, within, ranked)
     if status != "found":
         return SubgraphResult(status, None, nodes)
     mapping = [-1] * pattern.n
     for p, v in zip(plans[index][0], image):
         mapping[p] = v
     mapping = tuple(mapping)
-    _verify_embedding(host, edges, mapping, within, forced_vertex)
+    _verify_embedding(host, pattern.upper_edges(), mapping, within, forced_vertex)
     return SubgraphResult("found", mapping, nodes)

@@ -23,16 +23,19 @@ from erdos_rogers import (
 )
 from erdos_rogers.graphs import (
     bipartition_violation,
+    bits,
     connected_components,
     find_short_cycle,
     has_cycle,
     induced_subgraph,
+    induced_subgraph_with_map,
     is_biconnected,
     is_clique,
     random_regular_bipartite,
     triangle_witness,
     wagner_graph,
 )
+from erdos_rogers.pipelines import _with_new_vertex
 from oracles import all_roots_short_cycle, bipartite_gnp, gnp_graph, numpy_rng
 
 SEEDS = [0, 1, 7, 42, 1234]
@@ -268,8 +271,23 @@ def test_text_errors_mention_location(text, fragment):
 
 
 def test_graph_rejects_self_loop():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="self-loop") as exc:
         Graph(3, [(1, 1)])
+    assert exc.value.witness == {"vertex": 1}
+
+
+@pytest.mark.parametrize(
+    "edges,message,witness",
+    [
+        ([(0, 1), (2, 5), (1, 1)], "out of range", {"edge": [2, 5]}),
+        ([(0, 1), (2, 2), (2, 5)], "self-loop", {"vertex": 2}),
+        ([(-1, 0)], "out of range", {"edge": [-1, 0]}),
+    ],
+)
+def test_graph_refusal_names_the_first_bad_pair(edges, message, witness):
+    with pytest.raises(InputError, match=message) as exc:
+        Graph(3, edges)
+    assert exc.value.witness == witness
 
 
 def test_empty_graph():
@@ -302,6 +320,44 @@ def first_triangle_by_pairs(g):
     return None
 
 
+def check_forms_agree(g):
+    """g rebuilt from its edges, from its edges reversed, from them with
+    repeats, and from rows made here off the edge list, is one graph in
+    every form: equal with equal hashes (the edge-built ones compared
+    before their rows exist), with the same m, edge tuple, rows and
+    adjacency."""
+    edges = g.edges()
+    rows = [0] * g.n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    forms = [
+        Graph(g.n, edges),
+        Graph(g.n, [(v, u) for u, v in reversed(edges)]),
+        Graph(g.n, edges + [(v, u) for u, v in edges[::2]] + edges[1::3]),
+        Graph.from_rows(rows),
+    ]
+    for h in forms:
+        assert h == g and hash(h) == hash(g)
+    for h in forms:
+        assert h.n == g.n and h.m == len(edges)
+        assert h.upper_edges() == tuple(edges)
+        assert h.rows() == tuple(rows)
+        assert all(h.has_edge(u, v) == bool((rows[u] >> v) & 1) for u in range(g.n) for v in range(g.n))
+    assert Graph.from_rows(rows + [0]) != g
+    if edges:
+        assert Graph(g.n, edges[1:]) != g
+
+
+def induced_by_edge_list(g, mask):
+    """The induced subgraph on mask built from an edge list, members
+    renumbered in increasing order."""
+    members = list(bits(mask))
+    index = {v: i for i, v in enumerate(members)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if (mask >> u) & 1 and (mask >> v) & 1]
+    return Graph(len(members), edges), tuple(members)
+
+
 def _edge_scan_hosts():
     yield Graph(0)
     yield Graph(1)
@@ -317,14 +373,34 @@ def test_edges_match_pair_scan(g):
     assert g.edges() == expected
     assert len(expected) == g.m
     assert triangle_witness(g) == first_triangle_by_pairs(g)
+    check_forms_agree(g)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(small_graphs())
-def test_edges_and_triangle_witness_match_pair_scans(g):
+@given(small_graphs(), st.integers(0, (1 << 14) - 1))
+def test_edges_and_triangle_witness_match_pair_scans(g, mask):
     expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
     assert g.edges() == expected
     assert triangle_witness(g) == first_triangle_by_pairs(g)
+    check_forms_agree(g)
+    mask &= g.full_mask()
+    sub, members = induced_subgraph_with_map(g, mask)
+    expected = induced_by_edge_list(g, mask)
+    assert (sub, members) == expected and sub.rows() == expected[0].rows()
+
+
+@pytest.mark.parametrize(
+    "base",
+    [Graph(1), path_graph(4), cycle_graph(5), wagner_graph(), petersen_graph()],
+    ids=repr,
+)
+def test_oracle_child_matches_edge_list_child(base):
+    for nbhd in range(1 << base.n):
+        child = _with_new_vertex(base.rows(), nbhd)
+        expected = Graph(base.n + 1, base.edges() + [(u, base.n) for u in bits(nbhd)])
+        assert child == expected and hash(child) == hash(expected)
+        assert child.m == expected.m and child.rows() == expected.rows()
+        assert child.upper_edges() == expected.upper_edges()
 
 
 def test_edges_returns_a_new_list_each_call():

@@ -10,6 +10,7 @@ from erdos_rogers import (
     read_manifest,
     write_manifest,
 )
+from erdos_rogers.rng import _numbered_substreams
 
 SEEDS = [0, 1, 2, 99, 2**40]
 
@@ -35,6 +36,18 @@ def test_substream_isolated_from_parent_consumption():
     a.randrange(10**9)
     sub_after = [a.substream("child").randrange(10**9) for _ in range(3)]
     assert sub_before == sub_after
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_numbered_substreams_match_substream(seed):
+    rng = SeededRng(seed, "theorem1/blowup")
+    clique_stream = _numbered_substreams(rng, "clique-")
+    for i in [0, 1, 9, 10, 57, 50_678]:
+        fast, plain = clique_stream(i), rng.substream(f"clique-{i}")
+        assert (fast.seed, fast.label, fast._key) == (plain.seed, plain.label, plain._key)
+        assert [fast.randrange(5) for _ in range(20)] == [plain.randrange(5) for _ in range(20)]
+        assert [fast.u64() for _ in range(9)] == [plain.u64() for _ in range(9)]
+        assert fast.state() == plain.state()
 
 
 def test_shuffle_deterministic():

@@ -85,7 +85,8 @@ def test_max_f_free_subset_matches_brute_force(host, name):
     [("k2", [0]), ("p3", [0, 1]), ("k3", [0]), ("c4", [0]), ("c5", [0]), ("petersen", [0]), ("wagner", [0])],
 )
 def test_forced_search_keeps_one_anchor_per_orbit(name, anchors):
-    _, plans = _placement_plans(named_graph(name), True)
+    pattern = named_graph(name)
+    plans = _placement_plans(pattern.n, pattern.upper_edges(), True)
     assert [order[0] for order, _ in plans] == anchors
 
 
