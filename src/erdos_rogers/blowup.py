@@ -3,7 +3,8 @@ square clique covers of bipartite graphs, and homomorphism freeness.
 
 random_blowup colors each clique of the cover independently with vertices
 of a pattern F; a cover edge survives exactly when its two endpoints get
-distinct, F-adjacent colors within the covering clique.
+distinct, F-adjacent colors within the covering clique.  is_hom_free runs
+one homomorphism plan on the containment core in subgraph.
 """
 
 import math
@@ -11,9 +12,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .covers import CliqueCover
-from .errors import InputError
+from .errors import InputError, SelfCheckError
 from .graphs import Graph, as_mask, bipartition_violation, bits
 from .rng import _numbered_substreams
+from .subgraph import _plan, _run_plans
 
 
 def random_blowup(cover, pattern, rng):
@@ -128,47 +130,27 @@ def square_clique_cover(bip, left):
 def is_hom_free(pattern, source):
     """(True, None) if no graph homomorphism source -> pattern exists,
     else (False, mapping tuple).  A homomorphism sends every edge of the
-    source to an edge of the pattern; it need not be injective."""
+    source to an edge of the pattern; it need not be injective.  Source
+    vertices are placed in (-degree, index) order, each time the first
+    unplaced one with a placed neighbor if there is one; this order fixes
+    the witness that theorem4-part1 prints."""
     if source.n == 0:
         return (False, ())
     if pattern.n == 0:
         return (True, None)
-    order = sorted(range(source.n), key=lambda v: (-source.degree(v), v))
-    # reorder so each vertex after the first has a placed neighbor if possible
-    placed = [order[0]]
-    rest = set(order[1:])
-    while rest:
-        nxt = None
-        for v in order:
-            if v in rest and any(u in placed for u in source.neighbors(v)):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = next(v for v in order if v in rest)
-        placed.append(nxt)
-        rest.discard(nxt)
-    order = placed
-
-    image = [-1] * source.n
-
-    def extend(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        allowed = None
-        for u in source.neighbors(v):
-            if image[u] >= 0:
-                row = pattern.row(image[u])
-                allowed = row if allowed is None else allowed & row
-        candidates = bits(allowed) if allowed is not None else range(pattern.n)
-        for c in candidates:
-            image[v] = c
-            if extend(i + 1):
-                return True
-            image[v] = -1
-        return False
-
-    if extend(0):
-        return (False, tuple(image))
-    return (True, None)
-
+    rows = source.rows()
+    left = [v for _, v in sorted((-row.bit_count(), v) for v, row in enumerate(rows))]
+    order, reached = [], 0
+    while left:
+        v = next((u for u in left if (reached >> u) & 1), left[0])
+        left.remove(v)
+        order.append(v)
+        reached |= rows[v]
+    full = pattern.full_mask()
+    plan = _plan(source, order, injective=False)
+    status, _, mapping, _ = _run_plans(pattern.rows(), (plan,), math.inf, full, full, None, 0)
+    if status != "found":
+        return (True, None)
+    if any(not pattern.has_edge(mapping[u], mapping[v]) for u, v in source.upper_edges()):
+        raise SelfCheckError("homomorphism does not preserve an edge")
+    return (False, mapping)

@@ -261,10 +261,9 @@ def cmd_verify_subgraph_free(args):
 # ---------------------------------------------------------------------------
 
 def cmd_search_independent_set(args):
-    started = time.monotonic()
     g = read_graph(args.infile)
     res = max_independent_set(g, budget=_budget_of(args, "max_independent_set"))
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     print(f"{res.size} {res.status}")
     print(f"id={args.infile} size={res.size} status={res.status} "
           f"set={sorted(res.vertex_set.members())} nodes={res.nodes} verified=pass runtime_ms={ms}")
@@ -272,11 +271,10 @@ def cmd_search_independent_set(args):
 
 
 def cmd_search_max_ffree(args):
-    started = time.monotonic()
     g = read_graph(args.infile)
     pattern = _load_pattern(args.f)
     res = max_f_free_subset(g, pattern, budget=_budget_of(args, "max_f_free_subset"))
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     print(f"{res.size} {res.status}")
     print(f"id={args.infile} size={res.size} status={res.status} "
           f"set={sorted(res.vertex_set.members())} nodes={res.nodes} verified=pass runtime_ms={ms}")
@@ -284,18 +282,16 @@ def cmd_search_max_ffree(args):
 
 
 def cmd_search_spencer(args):
-    started = time.monotonic()
     h = read_hypergraph(args.infile)
     seed = _seed_of(args)
     res = spencer_independent_set(h, SeededRng(seed, "spencer"), trials=args.trials)
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     print(f"id={args.infile} size={res.size} bound={res.expectation_bound:.3f} "
           f"verified=pass runtime_ms={ms}")
     return 0
 
 
 def cmd_search_drc(args):
-    started = time.monotonic()
     g = read_graph(args.infile)
     seed = _seed_of(args)
     res = dependent_random_choice(
@@ -306,27 +302,25 @@ def cmd_search_drc(args):
         SeededRng(seed, "drc"),
         retries=args.retries,
     )
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     print(f"id={args.infile} size={res.size} status={res.status} gamma={res.gamma:.4f} "
           f"target={res.target:.2f} verified=pass runtime_ms={ms}")
     return 0
 
 
 def cmd_search_ckprop(args):
-    started = time.monotonic()
     g = read_graph(args.infile)
     res = ckprop_dense_pair(g, args.v0, args.k)
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     print(f"id={args.infile} X={len(res.X)} Y={len(res.Y)} e={res.edges_between} "
           f"gamma={res.gamma:.4f} delta={res.delta:.6f} verified=pass runtime_ms={ms}")
     return 0
 
 
 def cmd_search_sunflower(args):
-    started = time.monotonic()
     family = _read_set_family(args.infile)
     flower = erdos_rado_sunflower(family, args.m)
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     if flower is None:
         print(f"id={args.infile} sunflower=absent runtime_ms={ms}")
         return 0
@@ -340,12 +334,11 @@ def cmd_search_sunflower(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pipeline_ckfree(args):
-    started = time.monotonic()
     g = read_graph(args.infile)
     seed = _seed_of(args)
     vs, cert = ckfree_subset(g, args.k, SeededRng(seed, "ckfree"),
                              budget=_budget_of(args, "max_independent_set"))
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     if args.cert:
         cert.write(args.cert)
     branch = cert.measurements["branch"]
@@ -355,12 +348,11 @@ def cmd_pipeline_ckfree(args):
 
 
 def cmd_pipeline_ksfree(args):
-    started = time.monotonic()
     g = read_graph(args.infile)
     seed = _seed_of(args)
     vs, cert = ksfree_recursion(g, args.s, args.k, SeededRng(seed, "ksfree"),
                                 budget=_budget_of(args, "max_independent_set"))
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     if args.cert:
         cert.write(args.cert)
     print(f"id={args.infile} size={len(vs)} set={sorted(vs.members())} "
@@ -369,12 +361,11 @@ def cmd_pipeline_ksfree(args):
 
 
 def cmd_pipeline_ramsey_witness(args):
-    started = time.monotonic()
     host = read_graph(args.infile)
     f = _load_pattern(args.f)
     g = _load_pattern(args.g)
     cert = ramsey_witness_check(host, f, g, args.t, args.rf)
-    ms = int((time.monotonic() - started) * 1000)
+    ms = int((time.monotonic() - args.started) * 1000)
     if args.cert:
         cert.write(args.cert)
     verdicts = {key: entry["passed"] for key, entry in cert.predicates.items()}

@@ -112,11 +112,6 @@ class SeededRng:
         """Uniform integer in [a, b], both ends included."""
         return a + self.randrange(b - a + 1)
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice from empty sequence")
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items):
         """In-place Fisher-Yates."""
         for i in range(len(items) - 1, 0, -1):

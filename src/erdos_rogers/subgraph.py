@@ -6,16 +6,19 @@ within=mask only the host vertices in the mask may be used, so a copy inside
 an induced subgraph is found without building that subgraph; with
 forced_vertex=v only copies through v count.  This is the one containment
 core: F-free subset search, the C_k audits of the pipelines, the exact
-oracle's augmentation and every whole-host scan call it.
+oracle's augmentation, every whole-host scan and the homomorphism test
+blowup.is_hom_free call it.  A placed host vertex is used up through the
+`distinct` mask: -1 for a copy, 0 for a homomorphism, whose map may repeat.
 
 The search is backtracking over bit rows.  A pattern vertex's candidates are
 the common neighbors of its already placed pattern neighbors, inside the
-mask and not yet used, and a candidate needs at least the pattern vertex's
-degree inside the mask.  Pattern vertices are placed in a static order: the
-max-degree vertex first (or, with a forced vertex, an anchor placed on it),
-then repeatedly the vertex with most placed neighbors, ties to higher degree
-then lower index.  Anchors in one automorphism orbit of the pattern decide
-the same answer, so a forced search tries one anchor per orbit in turn.
+mask and not yet used, and a copy's candidate needs at least the pattern
+vertex's degree inside the mask.  Pattern vertices are placed in a static
+order: the max-degree vertex first (or, with a forced vertex, an anchor
+placed on it), then repeatedly the vertex with most placed neighbors, ties
+to higher degree then lower index.  Anchors in one automorphism orbit of
+the pattern decide the same answer, so a forced search tries one anchor
+per orbit in turn.
 Those placement plans depend only on the pattern, so they are computed once
 per pattern and kept in a small LRU cache keyed on its vertex count and
 edge tuple: a lookup then hashes and compares plain tuples, with no call
@@ -82,16 +85,17 @@ def _pattern_order(pattern, first=None):
             )
         order.append(nxt)
         remaining.discard(nxt)
-    return order
+    return tuple(order)
 
 
-def _plan(pattern, first):
+def _plan(pattern, order, injective=True):
     """A placement plan (order, steps): step i holds the earlier steps that
-    place pattern neighbors of order[i], and the degree of order[i]."""
-    order = tuple(_pattern_order(pattern, first))
+    place pattern neighbors of order[i], and the host degree a candidate
+    needs, the degree of order[i] for a copy and 0 for a homomorphism."""
     step_of = {p: i for i, p in enumerate(order)}
     steps = tuple(
-        (tuple(step_of[q] for q in bits(pattern.row(p)) if step_of[q] < i), pattern.degree(p))
+        (tuple(step_of[q] for q in bits(pattern.row(p)) if step_of[q] < i),
+         pattern.degree(p) if injective else 0)
         for i, p in enumerate(order)
     )
     return order, steps
@@ -111,12 +115,12 @@ def _placement_plans(n, edges, anchored):
     out of budget."""
     pattern = Graph(n, edges)
     if not anchored:
-        return (_plan(pattern, None),)
-    plans = tuple(_plan(pattern, b) for b in range(pattern.n))
+        return (_plan(pattern, _pattern_order(pattern)),)
+    plans = tuple(_plan(pattern, _pattern_order(pattern, b)) for b in range(pattern.n))
     rows, full = pattern.rows(), pattern.full_mask()
     kept = []
     for b, plan in enumerate(plans):
-        status, index, _, _ = _run_plans(rows, plans, DEFAULT_BUDGET, 1 << b, full, None)
+        status, index, _, _ = _run_plans(rows, plans, DEFAULT_BUDGET, 1 << b, full, None, -1)
         if status == "unknown" or index == b:
             kept.append(plan)
     return tuple(kept)
@@ -134,10 +138,11 @@ def _verify_embedding(host, edges, mapping, within, forced_vertex):
         raise SelfCheckError("embedding misses the forced vertex")
 
 
-def _place(rows, steps, image, i, used, start, within, ranked, budget, nodes):
+def _place(rows, steps, image, i, used, start, within, ranked, budget, nodes, distinct):
     """Place steps i, i+1, ... of a plan by backtracking; nodes[0] counts
     candidate placements.  True once placed, False when exhausted, None
-    when the budget runs out."""
+    when the budget runs out.  Placed vertices join `used` through the
+    `distinct` mask."""
     earlier, need = steps[i]
     allowed = start if i == 0 else within & ~used
     for j in earlier:
@@ -156,23 +161,27 @@ def _place(rows, steps, image, i, used, start, within, ranked, budget, nodes):
         image[i] = v
         if last:
             return True
-        sub = _place(rows, steps, image, i + 1, used | (1 << v), start, within, ranked, budget, nodes)
+        sub = _place(rows, steps, image, i + 1, used | (1 << v) & distinct,
+                     start, within, ranked, budget, nodes, distinct)
         if sub is not False:
             return sub
     return False
 
 
-def _run_plans(rows, plans, budget, start, within, ranked):
+def _run_plans(rows, plans, budget, start, within, ranked, distinct):
     """Try the placement plans in turn on a host given by its bit rows: the
     first step of a plan picks from `start`, every later one from `within`.
-    Returns (status, index of the plan that placed the pattern, its image
-    per step, nodes)."""
+    Returns (status, index of the plan that placed the pattern, its map as
+    a tuple indexed by pattern vertex, nodes)."""
     nodes = [0]
     for index, (order, steps) in enumerate(plans):
         image = [-1] * len(order)
-        ok = _place(rows, steps, image, 0, 0, start, within, ranked, budget, nodes)
+        ok = _place(rows, steps, image, 0, 0, start, within, ranked, budget, nodes, distinct)
         if ok:
-            return "found", index, image, nodes[0]
+            mapping = [-1] * len(order)
+            for p, v in zip(order, image):
+                mapping[p] = v
+            return "found", index, tuple(mapping), nodes[0]
         if ok is None:
             return "unknown", None, None, nodes[0]
     return "absent", None, None, nodes[0]
@@ -206,12 +215,8 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
 
     plans = _placement_plans(pattern.n, pattern.upper_edges(), forced_vertex is not None)
     start = within if forced_vertex is None else 1 << forced_vertex
-    status, index, image, nodes = _run_plans(rows, plans, budget, start, within, ranked)
+    status, _, mapping, nodes = _run_plans(rows, plans, budget, start, within, ranked, -1)
     if status != "found":
         return SubgraphResult(status, None, nodes)
-    mapping = [-1] * pattern.n
-    for p, v in zip(plans[index][0], image):
-        mapping[p] = v
-    mapping = tuple(mapping)
     _verify_embedding(host, pattern.upper_edges(), mapping, within, forced_vertex)
     return SubgraphResult("found", mapping, nodes)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -124,6 +126,32 @@ def test_is_hom_free_matches_product_oracle(seed):
     free, _ = is_hom_free(pattern, source)
     assert free == (not hom_exists(pattern, source))
     assert free == blowup_hom_oracle(pattern, source)
+
+
+HOM_NAMES = ["k2", "k3", "k4", "k5", "k6", "p3", "p4", "c4", "c5", "c6", "c7", "k22", "k33", "petersen", "wagner"]
+
+
+def test_is_hom_free_witnesses_pinned():
+    # verdict and witness of every ordered named pair: the witness is
+    # printed by theorem4-part1's refusal, so its bytes are part of the
+    # output; 140 of the 225 pairs have a homomorphism
+    rows = []
+    for a in HOM_NAMES:
+        for b in HOM_NAMES:
+            free, w = is_hom_free(named_graph(a), named_graph(b))
+            rows.append([a, b, free, None if w is None else list(w)])
+    assert sum(not free for _, _, free, _ in rows) == 140
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "cd0b1742e566d7333da4d0cc0091ef7042b59888515e4fa442397ef6b79db355"
+    # seeded pairs, sources often disconnected, against the blowup oracle
+    for i in range(150):
+        r = SeededRng(i, "hom-pin")
+        pattern = gnp_graph(r.randint(1, 5), r.random(), r.substream("f"))
+        source = gnp_graph(r.randint(1, 7), r.random() * 0.6, r.substream("g"))
+        free, w = is_hom_free(pattern, source)
+        assert free == blowup_hom_oracle(pattern, source), (i, pattern.edges(), source.edges())
+        if not free:
+            assert all(pattern.has_edge(w[a], w[b]) for a, b in source.edges())
 
 
 def test_failure_bound_monotone_in_R():

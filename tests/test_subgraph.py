@@ -7,9 +7,11 @@ from erdos_rogers import (
     complete_graph,
     contains_subgraph,
     cycle_graph,
+    is_hom_free,
     named_graph,
     petersen_graph,
 )
+from erdos_rogers.graphs import Graph
 from oracles import gnp_graph, perm_contains
 
 SEEDS = list(range(12))
@@ -92,7 +94,8 @@ def test_empty_pattern_always_found():
 
 def test_searches_leave_no_reference_cycles():
     # a containment call must not leave garbage for the cyclic collector,
-    # found, absent, masked, forced or budgeted
+    # found, absent, masked, forced or budgeted, nor must a homomorphism
+    # test run on the same core
     host, k3 = cycle_graph(8), complete_graph(3)
     contains_subgraph(host, k3, forced_vertex=0)  # fill the plan cache
     gc.collect()
@@ -105,6 +108,10 @@ def test_searches_leave_no_reference_cycles():
         contains_subgraph(host, k3)
         contains_subgraph(host, cycle_graph(8))
         contains_subgraph(petersen_graph(), cycle_graph(5), budget=3)
+        assert is_hom_free(k3, cycle_graph(5))[0] is False
+        assert is_hom_free(cycle_graph(5), k3) == (True, None)
+        assert is_hom_free(k3, Graph(5, [(0, 1), (3, 4)])) == (False, (0, 1, 0, 0, 1))
+        assert is_hom_free(Graph(0, []), k3) == (True, None)
         assert gc.collect() == 0
     finally:
         gc.enable()
