@@ -95,8 +95,8 @@ def square_clique_cover(bip, left):
     One vertex per member of left (densely relabeled in increasing order),
     u ~ w iff they share a right neighbor.  Cliques: for each right vertex
     y with at least two left neighbors, the set N(y).  Girth > 4 is
-    required; a 4-cycle would make two cliques share two vertices, and is
-    returned as the witness.
+    required: a 4-cycle makes two cliques share two vertices, which the
+    cover's `validate()` refuses; that 4-cycle is the witness.
     """
     left_mask = as_mask(left)
     bad = bipartition_violation(bip, left_mask)
@@ -108,23 +108,23 @@ def square_clique_cover(bip, left):
 
     members = tuple(bits(left_mask))
     index = {v: i for i, v in enumerate(members)}
-
-    pair_via = {}
-    cliques = []
+    via, cliques = [], []
     for y in range(bip.n):
-        if (left_mask >> y) & 1:
-            continue
-        nbrs = [index[u] for u in bits(bip.row(y))]
-        if len(nbrs) >= 2:
-            cliques.append(nbrs)
-        for u, w in combinations(nbrs, 2):
-            if (u, w) in pair_via:
-                raise InputError(
-                    "girth must exceed 4",
-                    witness={"four_cycle": [members[u], pair_via[(u, w)], members[w], y]},
-                )
-            pair_via[(u, w)] = y
-    return CliqueCover(len(members), cliques)
+        if not (left_mask >> y) & 1:
+            nbrs = [index[u] for u in bits(bip.row(y))]
+            if len(nbrs) >= 2:
+                via.append(y)
+                cliques.append(nbrs)
+    cover = CliqueCover(len(members), cliques)
+    audit = cover.validate()
+    if not audit:
+        i, j = audit.witness["cliques"]
+        u, w = audit.witness["shared_pair"]
+        raise InputError(
+            "girth must exceed 4",
+            witness={"four_cycle": [members[u], via[i], members[w], via[j]]},
+        )
+    return cover
 
 
 def is_hom_free(pattern, source):

@@ -8,7 +8,8 @@ covered, and the one invariant left to check is edge-disjointness.
 Validation uses the pair-dictionary trick: two cliques share two vertices
 exactly when some vertex pair appears in both, so one sweep over all
 within-clique pairs checks edge-disjointness in O(sum |K_i|^2) instead of
-O(#cliques^2).
+O(#cliques^2).  `_first_shared_pair` is that one sweep, for `validate`,
+`edge_clique_map` and `hypergraphs.hypergraph_is_linear`.
 """
 
 from itertools import combinations
@@ -43,25 +44,12 @@ class CliqueCover:
         self.n = n
         self.cliques = _sorted_cliques(cliques, n)
 
-    def _pair_map(self):
-        """One sweep over the vertex pairs inside each clique.
-
-        Returns ({(u, v), u<v: covering clique index}, None), or
-        (None, witness) at the first pair that lies in two cliques.
-        """
-        seen = {}
-        for idx, cl in enumerate(self.cliques):
-            for u, v in combinations(cl, 2):
-                if (u, v) in seen:
-                    return None, {"cliques": [seen[(u, v)], idx], "shared_pair": [u, v]}
-                seen[(u, v)] = idx
-        return seen, None
-
     def validate(self):
         """Audit that no two cliques share more than one vertex."""
-        _, overlap = self._pair_map()
-        if overlap is not None:
-            return Audit("clique_cover", False, {"kind": "overlap", **overlap})
+        _, shared = _first_shared_pair(self.cliques)
+        if shared is not None:
+            i, j, (u, v) = shared
+            return Audit("clique_cover", False, {"kind": "overlap", "cliques": [i, j], "shared_pair": [u, v]})
         return Audit("clique_cover", True)
 
     def edge_clique_map(self):
@@ -69,13 +57,33 @@ class CliqueCover:
 
         Requires edge-disjoint cliques (InputError with witness otherwise).
         """
-        seen, overlap = self._pair_map()
-        if overlap is not None:
-            raise InputError("cover cliques are not edge-disjoint", witness=overlap)
+        seen, shared = _first_shared_pair(self.cliques)
+        if shared is not None:
+            i, j, (u, v) = shared
+            raise InputError(
+                "cover cliques are not edge-disjoint",
+                witness={"cliques": [i, j], "shared_pair": [u, v]},
+            )
         return seen
 
     def __repr__(self):
         return f"CliqueCover(n={self.n}, cliques={len(self.cliques)})"
+
+
+def _first_shared_pair(sets):
+    """One sweep over the vertex pairs inside each sorted tuple of `sets`.
+
+    Returns ({(u, v), u<v: index of the set holding it}, None), or
+    (None, (i, j, (u, v))) at the first pair that set j shares with an
+    earlier set i.
+    """
+    seen = {}
+    for j, members in enumerate(sets):
+        for pair in combinations(members, 2):
+            if pair in seen:
+                return None, (seen[pair], j, pair)
+            seen[pair] = j
+    return seen, None
 
 
 def _sorted_cliques(cliques, n):

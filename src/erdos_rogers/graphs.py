@@ -155,9 +155,6 @@ class Graph:
     def max_degree(self):
         return max(map(int.bit_count, self.rows()), default=0)
 
-    def neighbors(self, v):
-        return tuple(bits(self.row(v)))
-
     def edges(self):
         """The edges (u, v), u < v, in lexicographic order, as a new list."""
         return list(self.upper_edges())
@@ -365,44 +362,13 @@ def has_cycle(g):
 
 
 def is_biconnected(g):
-    """Connected, at least 3 vertices, and no articulation vertex."""
+    """At least 3 vertices, connected, and still connected after deleting
+    any one vertex.  The definition is run as it reads, one induced
+    subgraph per vertex, since its caller checks only small patterns."""
     if g.n < 3 or len(connected_components(g)) != 1:
         return False
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = [1]
-    # iterative DFS from vertex 0; root is an articulation iff >= 2 children
-    parent = [-1] * g.n
-    stack = [(0, iter(g.neighbors(0)))]
-    disc[0] = low[0] = timer[0]
-    timer[0] += 1
-    root_children = 0
-    articulation = False
-    while stack:
-        u, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == 0:
-                parent[w] = u
-                if u == 0:
-                    root_children += 1
-                disc[w] = low[w] = timer[0]
-                timer[0] += 1
-                stack.append((w, iter(g.neighbors(w))))
-                advanced = True
-                break
-            elif w != parent[u]:
-                low[u] = min(low[u], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if p != 0 and low[u] >= disc[p]:
-                    articulation = True
-    if root_children >= 2:
-        articulation = True
-    return not articulation
+    full = g.full_mask()
+    return all(len(connected_components(induced_subgraph(g, full & ~(1 << v)))) == 1 for v in range(g.n))
 
 
 def is_clique(g):

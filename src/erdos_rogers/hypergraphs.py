@@ -4,18 +4,19 @@ pipelines.  The cover is a `CliqueCover(h.m, cliques)` whose cliques are
 sorted tuples of edge indices; the line graph itself is built only by
 `line_intersection_graph`.
 
-A hypergraph is linear when any two edges share at most one vertex.  A
-triangle here is three edges pairwise intersecting in exactly one vertex
-with no vertex common to all three.  A loose cycle of length 2 is a pair
-of edges sharing at least two vertices; for length l > 2 it is l distinct
-edges e_1..e_l and l distinct vertices with consecutive edges (cyclically)
-meeting in exactly one vertex and all other pairs disjoint.
+A hypergraph is linear when any two edges share at most one vertex; the
+one shared-pair sweep of `covers` checks it.  A triangle here is three
+edges pairwise intersecting in exactly one vertex with no vertex common to
+all three.  A loose cycle of length 2 is a pair of edges sharing at least
+two vertices; for length l > 2 it is l distinct edges e_1..e_l and l
+distinct vertices with consecutive edges (cyclically) meeting in exactly
+one vertex and all other pairs disjoint.
 """
 
 from itertools import combinations
 from operator import lt
 
-from .covers import Audit, CliqueCover
+from .covers import Audit, CliqueCover, _first_shared_pair
 from .errors import FormatError, InputError, SelfCheckError
 from .graphs import Graph, _check_vertex_count, read_text
 
@@ -99,18 +100,13 @@ def hypergraph_is_linear(h):
     """Audit: every two edges share at most one vertex.
 
     Any violating pair shares some vertex pair, so it suffices to sweep all
-    within-edge vertex pairs once and look for a repeat.
+    within-edge vertex pairs once and look for a repeat: the shared-pair
+    sweep of `covers`, run on the sorted edge tuples.
     """
-    seen = {}
-    for i, e in enumerate(h.edges):
-        for pair in combinations(e, 2):
-            if pair in seen:
-                return Audit(
-                    "linear",
-                    False,
-                    {"edges": [seen[pair], i], "shared_vertices": list(pair)},
-                )
-            seen[pair] = i
+    _, shared = _first_shared_pair(h.edges)
+    if shared is not None:
+        i, j, pair = shared
+        return Audit("linear", False, {"edges": [i, j], "shared_vertices": list(pair)})
     return Audit("linear", True)
 
 

@@ -70,52 +70,49 @@ def max_independent_set(g, budget=DEFAULT_SET_BUDGET):
     safe), otherwise we branch on a maximum-degree vertex.  On budget
     exhaustion the incumbent is returned with status "lower-bound"; it is
     never smaller than the greedy Turan floor."""
-    rows = g.rows()
     seed = greedy_independent_set(g)
-    best_mask = seed.mask
-    best_size = len(seed)
-    nodes = 0
-    exhausted = False
-
-    def bb(alive, cur_mask, cur_size):
-        nonlocal best_mask, best_size, nodes, exhausted
-        while True:
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return
-            count = alive.bit_count()
-            if cur_size + count <= best_size:
-                return
-            if count == 0:
-                if cur_size > best_size:
-                    best_size, best_mask = cur_size, cur_mask
-                return
-            pivot = -1
-            pivot_deg = -1
-            low = -1
-            for v in bits(alive):
-                dv = (rows[v] & alive).bit_count()
-                if dv <= 1:
-                    low = v
-                    break
-                if dv > pivot_deg:
-                    pivot_deg, pivot = dv, v
-            if low >= 0:
-                cur_mask |= 1 << low
-                cur_size += 1
-                alive &= ~(rows[low] | (1 << low))
-                continue
-            # branch: include pivot, then exclude it
-            bb(alive & ~(rows[pivot] | (1 << pivot)), cur_mask | (1 << pivot), cur_size + 1)
-            if exhausted:
-                return
-            alive &= ~(1 << pivot)
-
-    bb(g.full_mask(), 0, 0)
+    best = [len(seed), seed.mask, 0]
+    exhausted = not _mis_branch(g.rows(), g.full_mask(), 0, 0, best, budget)
+    _, best_mask, nodes = best
     _verify_independent(g, best_mask)
     status = "lower-bound" if exhausted else "optimal"
     return SetSearchResult(VertexSet(best_mask), status, nodes)
+
+
+def _mis_branch(rows, alive, cur_mask, cur_size, best, budget):
+    """Search the independent sets that extend cur_mask inside alive;
+    best = [size, mask, nodes] is updated in place.  False once the node
+    budget runs out."""
+    while True:
+        best[2] += 1
+        if best[2] > budget:
+            return False
+        count = alive.bit_count()
+        if cur_size + count <= best[0]:
+            return True
+        if count == 0:
+            best[0], best[1] = cur_size, cur_mask
+            return True
+        pivot = -1
+        pivot_deg = -1
+        low = -1
+        for v in bits(alive):
+            dv = (rows[v] & alive).bit_count()
+            if dv <= 1:
+                low = v
+                break
+            if dv > pivot_deg:
+                pivot_deg, pivot = dv, v
+        if low >= 0:
+            cur_mask |= 1 << low
+            cur_size += 1
+            alive &= ~(rows[low] | (1 << low))
+            continue
+        # branch: include pivot, then exclude it
+        taken = alive & ~(rows[pivot] | (1 << pivot))
+        if not _mis_branch(rows, taken, cur_mask | (1 << pivot), cur_size + 1, best, budget):
+            return False
+        alive &= ~(1 << pivot)
 
 
 def _is_f_free(host, sub_mask, pattern, new_vertex=None):
@@ -141,34 +138,33 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
     for v in sorted(range(n), key=lambda v: (g.degree(v), v)):
         if _is_f_free(g, seed_mask | (1 << v), pattern, new_vertex=v):
             seed_mask |= 1 << v
-    best_mask = seed_mask
-    best_size = seed_mask.bit_count()
-    nodes = 0
-    exhausted = False
-
-    def bb(i, cur_mask, cur_size):
-        nonlocal best_mask, best_size, nodes, exhausted
-        if exhausted:
-            return
-        if cur_size + (n - i) <= best_size:
-            return
-        if i == n:
-            if cur_size > best_size:
-                best_size, best_mask = cur_size, cur_mask
-            return
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        if _is_f_free(g, cur_mask | (1 << i), pattern, new_vertex=i):
-            bb(i + 1, cur_mask | (1 << i), cur_size + 1)
-        bb(i + 1, cur_mask, cur_size)
-
-    bb(0, 0, 0)
+    best = [seed_mask.bit_count(), seed_mask, 0]
+    exhausted = not _ffree_branch(g, pattern, 0, 0, 0, best, budget)
+    _, best_mask, nodes = best
     if not _is_f_free(g, best_mask, pattern):
         raise SelfCheckError("returned set contains a pattern copy")
     status = "lower-bound" if exhausted else "optimal"
     return SetSearchResult(VertexSet(best_mask), status, nodes)
+
+
+def _ffree_branch(g, pattern, i, cur_mask, cur_size, best, budget):
+    """Decide vertices i, i+1, ... of g, each taken when it closes no
+    pattern copy and then left out; best = [size, mask, nodes] is updated
+    in place.  False once the node budget runs out."""
+    if cur_size + (g.n - i) <= best[0]:
+        return True
+    if i == g.n:
+        best[0], best[1] = cur_size, cur_mask
+        return True
+    best[2] += 1
+    if best[2] > budget:
+        return False
+    grown = cur_mask | (1 << i)
+    if _is_f_free(g, grown, pattern, new_vertex=i) and not _ffree_branch(
+        g, pattern, i + 1, grown, cur_size + 1, best, budget
+    ):
+        return False
+    return _ffree_branch(g, pattern, i + 1, cur_mask, cur_size, best, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -190,37 +186,34 @@ def list_k_cycles(g, k, through=None, cap=None):
     _check_cycle_args(g, k)
     rows = g.rows()
     out = []
-    truncated = False
-
-    def dfs(root, last, visited, path, restrict_gt):
-        nonlocal truncated
-        if truncated:
-            return
-        if len(path) == k - 1:
-            if (rows[last] >> root) & 1 and path[-1] > path[0]:
-                out.append((root,) + tuple(path))
-                if cap is not None and len(out) >= cap:
-                    truncated = True
-            return
-        for w in bits(rows[last] & ~visited):
-            if w == root or (restrict_gt and w < root):
-                continue
-            path.append(w)
-            dfs(root, w, visited | (1 << w), path, restrict_gt)
-            path.pop()
-            if truncated:
-                return
-
     roots = [through] if through is not None else range(g.n)
     restrict = through is None
     for root in roots:
         for s in bits(rows[root]):
             if restrict and s < root:
                 continue
-            dfs(root, s, (1 << root) | (1 << s), [s], restrict)
-            if truncated:
+            if _extend_path(rows, k, root, s, (1 << root) | (1 << s), [s], restrict, out, cap):
                 return out, True
     return out, False
+
+
+def _extend_path(rows, k, root, last, visited, path, restrict_gt, out, cap):
+    """Extend the path root, *path (ending at last) to k-cycles appended to
+    out; True once out holds cap cycles."""
+    if len(path) == k - 1:
+        if (rows[last] >> root) & 1 and path[-1] > path[0]:
+            out.append((root,) + tuple(path))
+            return cap is not None and len(out) >= cap
+        return False
+    for w in bits(rows[last] & ~visited):
+        if w == root or (restrict_gt and w < root):
+            continue
+        path.append(w)
+        full = _extend_path(rows, k, root, w, visited | (1 << w), path, restrict_gt, out, cap)
+        path.pop()
+        if full:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

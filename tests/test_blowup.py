@@ -84,9 +84,12 @@ def test_square_clique_cover_on_c6():
 
 
 def test_square_clique_cover_rejects_four_cycles():
-    with pytest.raises(InputError) as exc:
-        square_clique_cover(complete_bipartite(2, 2), [0, 1])
-    assert exc.value.witness is not None
+    # the first pair two neighbourhoods share, with their right vertices
+    for a, witness in [(2, [0, 2, 1, 3]), (3, [0, 3, 1, 4])]:
+        with pytest.raises(InputError) as exc:
+            square_clique_cover(complete_bipartite(a, a), range(a))
+        assert str(exc.value) == "girth must exceed 4"
+        assert exc.value.witness == {"four_cycle": witness}
 
 
 def test_square_clique_cover_rejects_an_edge_inside_the_left_part():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,17 @@ def test_girth_hypergraph_and_girth_verify(tmp_path, capsys):
     assert main(["construct", "girth-hypergraph", "--t", "40", "--r", "3",
                  "--seed", "3", "--out", out]) == 0
     assert main(["verify", "girth", out, "--min", "5"]) == 0
+
+
+def test_girth_hypergraph_bytes_pinned(tmp_path, capsys):
+    out = str(tmp_path / "gh.hg")
+    assert main(["construct", "girth-hypergraph", "--t", "200", "--r", "3", "--seed", "1", "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(" edges=71 girth_audit=pass\n")
+    digests = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (out, out + ".cert.json")]
+    assert digests == [
+        "a9c84fc91034df7ec49e7356a04d6f5e63d96f00625e30647b4aba2ec35ea69a",
+        "8fa1402c2dd8e96c35e35da107717a2c42faa29d48a06dce8af45580462ea39f",
+    ]
 
 
 def test_construct_precondition_failure_exit_3(tmp_path, capsys):

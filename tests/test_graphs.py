@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,33 @@ def test_petersen_facts():
     assert all(g.degree(v) == 3 for v in range(10))
     assert triangle_witness(g) is None
     assert is_biconnected(g)
+
+
+def test_biconnected_counts_match_oeis_a013922():
+    # 2-connected labelled graphs on n = 1..6 vertices
+    counts = []
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        counts.append(sum(
+            is_biconnected(Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1]))
+            for code in range(1 << len(pairs))
+        ))
+    assert counts == [0, 0, 1, 10, 238, 11368]
+
+
+@pytest.mark.parametrize(
+    "g,expect",
+    [
+        (wagner_graph(), True),
+        (named_graph("k33"), True),
+        (named_graph("p4"), False),
+        (named_graph("k2"), False),
+        (Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), False),
+    ],
+    ids=["wagner", "k33", "p4", "k2", "two-triangles"],
+)
+def test_is_biconnected_named_cases(g, expect):
+    assert is_biconnected(g) is expect
 
 
 def test_wagner_facts():

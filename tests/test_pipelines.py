@@ -352,6 +352,10 @@ THEOREM4_SHA256 = {
         "d36566318499234f6885069a25f9de6140efe4453fd043bf3d576aa260d712e7",
         "82b62b4bbf386c229172aa621a4cf323cd41f6e877e52cf08ace0a298be97de5",
     ),
+    ("part2-all-pairs", "c4", 200): (
+        "fbad18692e46b0486d931877686a750ac157746ff80d519d7cbbc1ca67c3f330",
+        "68aeaee01ac9c31049dbddd687dc8e710522c899a9faea37b3a4b99e98fd9626",
+    ),
     ("part2", "c5", 80): (
         "d1736b75548cfe3bb4d6e7b55595d947e52856f3ea6131b57e2fd99de0d1bf6f",
         "68cac5b3606949abec6c9b0fc5a65b31f1a61224943cbeb7315a55cb2f719c52",
@@ -369,8 +373,9 @@ THEOREM4_SHA256 = {
 
 @pytest.mark.parametrize("case", list(THEOREM4_SHA256), ids=["-".join(map(str, c)) for c in THEOREM4_SHA256])
 def test_theorem4_bytes_pinned(case):
-    if case[0] == "part2":
-        built, cert = theorem4_part2_build(named_graph(case[1]), case[2], SeededRng(1, "theorem4-part2"))
+    if case[0].startswith("part2"):
+        rng = SeededRng(1, "theorem4-part2")
+        built, cert = theorem4_part2_build(named_graph(case[1]), case[2], rng, try_all_pairs=case[0] != "part2")
     else:
         built, cert = theorem4_part1_build(
             named_graph("c5"), named_graph("k2"), *case[1:], SeededRng(1, "theorem4-part1")

@@ -12,6 +12,7 @@ from erdos_rogers import (
     petersen_graph,
 )
 from erdos_rogers.graphs import Graph
+from erdos_rogers.search import list_k_cycles, max_f_free_subset, max_independent_set
 from oracles import gnp_graph, perm_contains
 
 SEEDS = list(range(12))
@@ -95,7 +96,8 @@ def test_empty_pattern_always_found():
 def test_searches_leave_no_reference_cycles():
     # a containment call must not leave garbage for the cyclic collector,
     # found, absent, masked, forced or budgeted, nor must a homomorphism
-    # test run on the same core
+    # test run on the same core, nor a set search or the cycle lister,
+    # finished, truncated or out of budget
     host, k3 = cycle_graph(8), complete_graph(3)
     contains_subgraph(host, k3, forced_vertex=0)  # fill the plan cache
     gc.collect()
@@ -112,6 +114,13 @@ def test_searches_leave_no_reference_cycles():
         assert is_hom_free(cycle_graph(5), k3) == (True, None)
         assert is_hom_free(k3, Graph(5, [(0, 1), (3, 4)])) == (False, (0, 1, 0, 0, 1))
         assert is_hom_free(Graph(0, []), k3) == (True, None)
+        assert max_independent_set(petersen_graph()).size == 4
+        assert max_independent_set(petersen_graph(), budget=2).status == "lower-bound"
+        assert max_f_free_subset(petersen_graph(), cycle_graph(5)).status == "optimal"
+        assert max_f_free_subset(petersen_graph(), cycle_graph(5), budget=3).status == "lower-bound"
+        assert len(list_k_cycles(petersen_graph(), 5)[0]) == 12
+        cycles, truncated = list_k_cycles(petersen_graph(), 6, through=0, cap=2)
+        assert len(cycles) == 2 and truncated
         assert gc.collect() == 0
     finally:
         gc.enable()
