@@ -30,7 +30,12 @@ def random_blowup(cover, pattern, rng):
     """
     if pattern.n < 1:
         raise InputError("pattern needs at least one vertex")
-    cover.edge_clique_map()  # raises with witness on bad covers
+    audit = cover.validate()
+    if not audit:
+        raise InputError(
+            "cover cliques are not edge-disjoint",
+            witness={"cliques": audit.witness["cliques"], "shared_pair": audit.witness["shared_pair"]},
+        )
     t = pattern.n
     prows = pattern.rows()
     clique_stream = _numbered_substreams(rng, "clique-")

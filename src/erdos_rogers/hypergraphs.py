@@ -200,6 +200,46 @@ class LooseCycle:
         return f"LooseCycle(edges={self.edge_indices}, vertices={self.vertices})"
 
 
+def _extend_loose(meet, esets, length, limit, out, path, verts, union):
+    """Extend the loose path `path` (edge indices; verts, the vertices where
+    consecutive edges meet; union, its vertices) to loose cycles of the
+    given length in canonical form, appended to out until it holds limit."""
+    if limit is not None and len(out) >= limit:
+        return
+    last = path[-1]
+    first = path[0]
+    if len(path) == length - 1:
+        for j, v in meet[last]:
+            if j <= first or j in path:
+                continue
+            if j <= path[1]:
+                continue  # canonical direction: second index < last index
+            if v in verts or not esets[j].isdisjoint(union - esets[last] - esets[first]):
+                continue
+            closing = esets[j] & esets[first]
+            if len(closing) != 1:
+                continue
+            u = next(iter(closing))
+            if u == v or u in verts:
+                continue
+            inter_last = esets[j] & esets[last]
+            if inter_last != {v}:
+                continue
+            out.append(LooseCycle(path + (j,), verts + (v, u)))
+            if limit is not None and len(out) >= limit:
+                return
+        return
+    for j, v in meet[last]:
+        if j <= first or j in path:
+            continue
+        if v in verts:
+            continue
+        # non-consecutive edges must be entirely disjoint
+        if not esets[j].isdisjoint(union - esets[last]):
+            continue
+        _extend_loose(meet, esets, length, limit, out, path + (j,), verts + (v,), union | esets[j])
+
+
 def find_loose_cycles(h, length, limit=None):
     """All loose cycles of the given length, in canonical order.
 
@@ -231,47 +271,11 @@ def find_loose_cycles(h, length, limit=None):
                 meet[i].append((j, v))
                 meet[j].append((i, v))
 
-    def extend(path, verts, union):
-        if limit is not None and len(out) >= limit:
-            return
-        last = path[-1]
-        first = path[0]
-        if len(path) == length - 1:
-            for j, v in meet[last]:
-                if j <= first or j in path:
-                    continue
-                if j <= path[1]:
-                    continue  # canonical direction: second index < last index
-                if v in verts or not esets[j].isdisjoint(union - esets[last] - esets[first]):
-                    continue
-                closing = esets[j] & esets[first]
-                if len(closing) != 1:
-                    continue
-                u = next(iter(closing))
-                if u == v or u in verts:
-                    continue
-                inter_last = esets[j] & esets[last]
-                if inter_last != {v}:
-                    continue
-                out.append(LooseCycle(path + (j,), verts + (v, u)))
-                if limit is not None and len(out) >= limit:
-                    return
-            return
-        for j, v in meet[last]:
-            if j <= first or j in path:
-                continue
-            if v in verts:
-                continue
-            # non-consecutive edges must be entirely disjoint
-            if not esets[j].isdisjoint(union - esets[last]):
-                continue
-            extend(path + (j,), verts + (v,), union | esets[j])
-
     for i in range(h.m):
         for j, v in meet[i]:
             if j <= i:
                 continue
-            extend((i, j), (v,), esets[i] | esets[j])
+            _extend_loose(meet, esets, length, limit, out, (i, j), (v,), esets[i] | esets[j])
             if limit is not None and len(out) >= limit:
                 return out
     return out

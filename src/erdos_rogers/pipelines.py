@@ -726,19 +726,16 @@ def ramsey_witness_check(host, f_pattern, g_pattern, t, rf_t):
     return cert
 
 
-def _refinement_classes(g):
-    """Iterated degree refinement; returns the class index per vertex with
-    classes ordered by their invariant signatures."""
-    rows = g.rows()
-    color = [row.bit_count() for row in rows]
+def _refinement_classes(nbrs):
+    """Iterated degree refinement of the graph with these neighbour lists;
+    returns the class index per vertex with classes ordered by their
+    invariant signatures."""
+    color = [len(nbr) for nbr in nbrs]
     # normalize to ranks
     ranks = {c: i for i, c in enumerate(sorted(set(color)))}
     color = [ranks[c] for c in color]
     while True:
-        sigs = []
-        for v in range(g.n):
-            nbr = sorted(color[u] for u in bits(rows[v]))
-            sigs.append((color[v], tuple(nbr)))
+        sigs = [(c, tuple(sorted([color[u] for u in nbr]))) for c, nbr in zip(color, nbrs)]
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
         if new == color:
@@ -760,7 +757,10 @@ def canonical_form(g):
     filled positions it is adjacent to, or -1 once placed; placements with
     the same state have the same futures, so each state is kept once."""
     n = g.n
-    color = _refinement_classes(g)
+    # lists: a tuple built from a generator is resized, and when freed it
+    # parks in the tuple free list; over an oracle run that held 0.5 MB
+    nbrs = [list(bits(row)) for row in g.rows()]
+    color = _refinement_classes(nbrs)
     classes = {}
     for v, c in enumerate(color):
         classes.setdefault(c, []).append(v)
@@ -768,9 +768,6 @@ def canonical_form(g):
     for c in sorted(classes):
         slots += [classes[c]] * len(classes[c])
 
-    # lists: a tuple built from a generator is resized, and when freed it
-    # parks in the tuple free list; over an oracle run that held 0.5 MB
-    nbrs = [list(bits(row)) for row in g.rows()]
     states = {(0,) * n}
     key = 0
     offset = n * (n - 1) // 2
@@ -816,10 +813,41 @@ def _with_new_vertex(rows, nbhd):
     return Graph.from_rows([r | bit if (nbhd >> u) & 1 else r for u, r in enumerate(rows)] + [nbhd])
 
 
+# what gfree_graph_reps knows of a neighbourhood; 0 is untried or "unknown"
+_FOUND, _ABSENT = 1, 2
+
+
+def _known_answer(answers, nbhd, twins):
+    """The containment answer for nbhd that earlier neighbourhoods of the
+    same base decide, or 0.  Down-closure: a copy through the new vertex
+    stays when it gains neighbours, so nbhd is found when some nbhd - {y}
+    was.  Twin swap: for twins u < w of the base (bits lo, hi), nbhd holding
+    w but not u has the answer of nbhd - w + u, an isomorphic child."""
+    rest = nbhd
+    while rest:
+        low = rest & -rest
+        if answers[nbhd ^ low] == _FOUND:
+            return _FOUND
+        rest ^= low
+    for lo, hi in twins:
+        if nbhd & hi and not nbhd & lo:
+            known = answers[nbhd ^ hi ^ lo]
+            if known:
+                return known
+    return 0
+
+
 def gfree_graph_reps(g_pattern, n, budget=None):
     """All g-free graphs on exactly n vertices up to isomorphism, built by
     vertex-by-vertex augmentation with canonical-form deduplication.
-    Returns (list of Graphs, exact flag, per-level counts)."""
+    Returns (list of Graphs, exact flag, per-level counts).
+
+    Each base tries its neighbourhoods for the new vertex in increasing
+    order, and every one counts against the budget.  A neighbourhood whose
+    answer _known_answer decides is skipped: a found one adds nothing, and
+    an absent one is a twin swap of an earlier child whose key is already
+    in `seen`.  So containment and canonical_form run only on the rest, and
+    the graphs kept are the ones trying every neighbourhood would keep."""
     if n < 1:
         raise InputError("n >= 1 required")
     reps = [Graph(1, [])]
@@ -830,18 +858,31 @@ def gfree_graph_reps(g_pattern, n, budget=None):
         seen = {}
         for base in reps:
             base_rows = base.rows()
+            twins = [
+                (1 << u, 1 << w)
+                for w in range(size)
+                for u in range(w)
+                if base_rows[u] & ~(1 << w) == base_rows[w] & ~(1 << u)
+            ]
+            answers = bytearray(1 << size)
             for nbhd in range(1 << size):
                 steps += 1
                 if budget is not None and steps > budget:
                     exact = False
                     break
+                known = _known_answer(answers, nbhd, twins)
+                if known:
+                    answers[nbhd] = known
+                    continue
                 cand = _with_new_vertex(base_rows, nbhd)
                 hit = contains_subgraph(cand, g_pattern, forced_vertex=size)
                 if hit.status == "found":
+                    answers[nbhd] = _FOUND
                     continue
                 if hit.status == "unknown":
                     exact = False
                     continue
+                answers[nbhd] = _ABSENT
                 key = canonical_form(cand)
                 if key not in seen:
                     seen[key] = cand
@@ -855,7 +896,7 @@ def gfree_graph_reps(g_pattern, n, budget=None):
 
 
 def brute_force_f(f_pattern, g_pattern, n, budget=None):
-    """Exact f_{F,G}(n) for n <= 8: the minimum over all g-free graphs on n
+    """Exact f_{F,G}(n) for n <= 9: the minimum over all g-free graphs on n
     vertices (up to isomorphism) of the maximum f-free induced subset.
 
     When the enumeration budget runs out below n vertices, the value is
@@ -864,8 +905,8 @@ def brute_force_f(f_pattern, g_pattern, n, budget=None):
     n-vertex graphs seen.  exact is False in both cases."""
     if f_pattern.m < 1:
         raise InputError("f needs at least one edge")
-    if n > 8:
-        raise InputError("n <= 8 only; enumeration is exact desk scale")
+    if n > 9:
+        raise InputError("n <= 9 only; enumeration is exact desk scale")
     reps, exact, counts = gfree_graph_reps(g_pattern, n, budget=budget)
     if len(counts) < n:
         return BruteForceResult(None, False, len(reps), counts, [])
@@ -874,7 +915,7 @@ def brute_force_f(f_pattern, g_pattern, n, budget=None):
     for h in reps:
         res = max_f_free_subset(h, f_pattern)
         if res.status != "optimal":
-            raise SelfCheckError("subset search ran out of budget on a graph of at most 8 vertices")
+            raise SelfCheckError("subset search ran out of budget on a graph of at most 9 vertices")
         if best is None or res.size < best:
             best, witness = res.size, h
     return BruteForceResult(

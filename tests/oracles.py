@@ -13,8 +13,9 @@ import itertools
 
 import numpy as np
 
-from erdos_rogers import Graph
+from erdos_rogers import Graph, contains_subgraph
 from erdos_rogers.graphs import bits
+from erdos_rogers.pipelines import canonical_form
 
 
 def brute_mis(g):
@@ -257,6 +258,42 @@ def perm_canonical_form(g, classes):
         if best is None or key < best:
             best = key
     return (g.n, best if best is not None else 0)
+
+
+def unpruned_gfree_graph_reps(g_pattern, n, budget=None):
+    """gfree_graph_reps without its skip rules: every base tries every
+    neighbourhood of the new vertex with a forced containment search, and
+    every g-free child is keyed by canonical_form.  Returns (reps, exact,
+    counts) as the package does."""
+    reps = [Graph(1, [])]
+    counts = [1]
+    steps = 0
+    exact = True
+    for size in range(1, n):
+        seen = {}
+        for base in reps:
+            for nbhd in range(1 << size):
+                steps += 1
+                if budget is not None and steps > budget:
+                    exact = False
+                    break
+                cand = Graph(size + 1, base.edges() + [(u, size) for u in bits(nbhd)])
+                hit = contains_subgraph(cand, g_pattern, forced_vertex=size)
+                if hit.status == "found":
+                    continue
+                if hit.status == "unknown":
+                    exact = False
+                    continue
+                key = canonical_form(cand)
+                if key not in seen:
+                    seen[key] = cand
+            if not exact and budget is not None and steps > budget:
+                break
+        reps = [seen[k] for k in sorted(seen)]
+        counts.append(len(reps))
+        if not exact:
+            break
+    return reps, exact, counts
 
 
 def numpy_rng(rng):

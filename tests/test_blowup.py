@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -177,6 +178,29 @@ def test_blowup_rejects_overlapping_cliques():
     assert str(exc.value) == "cover cliques are not edge-disjoint"
     assert exc.value.witness == {"cliques": [0, 1], "shared_pair": [1, 2]}
     assert cover.validate().witness == {"kind": "overlap", "cliques": [0, 1], "shared_pair": [1, 2]}
+
+
+def test_validate_agrees_with_the_pair_sweep():
+    # validate decides vertex by vertex and takes its witness from the pair
+    # sweep; on random covers, many of them overlapping, both must agree
+    rnd = random.Random("erdos-rogers-covers/shared-pair")
+    overlaps = 0
+    for _ in range(2000):
+        n = rnd.randint(1, 9)
+        cliques = [rnd.sample(range(n), rnd.randint(1, n)) for _ in range(rnd.randint(0, 5))]
+        cover = CliqueCover(n, cliques)
+        seen = {}
+        shared = None
+        for j, clique in enumerate(cover.cliques):
+            for pair in combinations(clique, 2):
+                if pair in seen and shared is None:
+                    shared = {"kind": "overlap", "cliques": [seen[pair], j], "shared_pair": list(pair)}
+                seen.setdefault(pair, j)
+        audit = cover.validate()
+        assert audit.passed is (shared is None)
+        assert audit.witness == shared
+        overlaps += shared is not None
+    assert 500 < overlaps < 1500
 
 
 def test_union_cover_rejects_out_of_range_vertex():

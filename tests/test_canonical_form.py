@@ -14,13 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erdos_rogers import Graph, named_graph
-from erdos_rogers.graphs import complete_graph, cycle_graph, empty_graph
+from erdos_rogers.graphs import bits, complete_graph, cycle_graph, empty_graph
 from erdos_rogers.pipelines import _refinement_classes, canonical_form
 from oracles import perm_canonical_form
 
 
 def oracle_key(g):
-    return perm_canonical_form(g, _refinement_classes(g))
+    return perm_canonical_form(g, _refinement_classes([list(bits(row)) for row in g.rows()]))
 
 
 def cube_graph():

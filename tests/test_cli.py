@@ -42,6 +42,12 @@ def test_oracle_budget_below_n_prints_no_value(capsys):
     assert out == "unknown (enumeration budget exhausted at level 5)\n"
 
 
+def test_oracle_refuses_ten_vertices(capsys):
+    code, out, err = run(["oracle", "brute-force-f", "--f", "k2", "--g", "k3", "--n", "10"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "n <= 9 only; enumeration is exact desk scale"}
+
+
 def test_search_max_ffree_summary(tmp_path, capsys):
     c5 = str(tmp_path / "c5.g")
     write_graph(c5, named_graph("c5"))

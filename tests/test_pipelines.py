@@ -46,7 +46,7 @@ from erdos_rogers.pipelines import (
     sunflower_budget,
 )
 from erdos_rogers.subgraph import contains_subgraph
-from oracles import gnp_graph, perm_contains
+from oracles import gnp_graph, perm_contains, unpruned_gfree_graph_reps
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -483,12 +483,39 @@ def test_canonical_form_separates_same_degree_sequence():
 
 @pytest.mark.parametrize(
     "n,count",
-    [(1, 1), (2, 2), (3, 3), (4, 7), (5, 14), (6, 38)],
+    [(1, 1), (2, 2), (3, 3), (4, 7), (5, 14), (6, 38), (7, 107), (8, 410)],
 )
 def test_triangle_free_rep_counts(n, count):
     reps, exact, counts = gfree_graph_reps(named_graph("k3"), n)
     assert exact
     assert len(reps) == count
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [named_graph("k2"), named_graph("p3"), named_graph("k3"), named_graph("c4"),
+     named_graph("c5"), complete_bipartite(1, 3), Graph(3, [(0, 1)])],
+    ids=["k2", "p3", "k3", "c4", "c5", "k13", "k2+k1"],
+)
+def test_gfree_graph_reps_skips_change_nothing(pattern):
+    # the skipped neighbourhoods still count against the budget, and the
+    # first g-free child per key is still the one kept
+    for n in range(1, 8):
+        for budget in (1, 7, 50, 300, 2000, None):
+            reps, exact, counts = gfree_graph_reps(pattern, n, budget=budget)
+            ref_reps, ref_exact, ref_counts = unpruned_gfree_graph_reps(pattern, n, budget=budget)
+            assert [h.edges() for h in reps] == [h.edges() for h in ref_reps], (n, budget)
+            assert (exact, counts) == (ref_exact, ref_counts), (n, budget)
+
+
+@pytest.mark.parametrize("g,value,level_count", [("k3", 4, 1897), ("c4", 3, 1230)])
+def test_brute_force_f_at_nine_vertices(g, value, level_count):
+    # f_{K2,K3}(9) = 4 as R(3,4) = 9, and f_{K2,C4}(9) = 3 as R(C4,K4) = 10;
+    # 1897 triangle-free (OEIS A006785) and 1230 C4-free (A006786) graphs
+    res = brute_force_f(named_graph("k2"), named_graph(g), 9)
+    assert res.exact
+    assert res.value == value
+    assert res.level_counts[-1] == level_count
 
 
 @pytest.mark.parametrize("n,value", [(2, 1), (5, 2), (8, 3)])

@@ -12,6 +12,7 @@ from erdos_rogers import (
     petersen_graph,
 )
 from erdos_rogers.graphs import Graph
+from erdos_rogers.hypergraphs import Hypergraph, find_loose_cycles
 from erdos_rogers.search import list_k_cycles, max_f_free_subset, max_independent_set
 from oracles import gnp_graph, perm_contains
 
@@ -96,9 +97,10 @@ def test_empty_pattern_always_found():
 def test_searches_leave_no_reference_cycles():
     # a containment call must not leave garbage for the cyclic collector,
     # found, absent, masked, forced or budgeted, nor must a homomorphism
-    # test run on the same core, nor a set search or the cycle lister,
-    # finished, truncated or out of budget
+    # test run on the same core, nor a set search, the cycle lister or the
+    # loose-cycle lister, finished, truncated or out of budget
     host, k3 = cycle_graph(8), complete_graph(3)
+    triangle = Hypergraph(6, [(0, 1, 2), (2, 3, 4), (0, 4, 5)], 3)
     contains_subgraph(host, k3, forced_vertex=0)  # fill the plan cache
     gc.collect()
     gc.disable()
@@ -121,6 +123,8 @@ def test_searches_leave_no_reference_cycles():
         assert len(list_k_cycles(petersen_graph(), 5)[0]) == 12
         cycles, truncated = list_k_cycles(petersen_graph(), 6, through=0, cap=2)
         assert len(cycles) == 2 and truncated
+        assert len(find_loose_cycles(triangle, 3)) == 1
+        assert len(find_loose_cycles(triangle, 3, limit=1)) == 1
         assert gc.collect() == 0
     finally:
         gc.enable()
