@@ -9,11 +9,11 @@ Validation uses the pair-dictionary trick: two cliques share two vertices
 exactly when some vertex pair appears in both, so one sweep over all
 within-clique pairs checks edge-disjointness in O(sum |K_i|^2) instead of
 O(#cliques^2).  `_first_shared_pair` is that one sweep, for
-`edge_clique_map`, `hypergraphs.hypergraph_is_linear` and the witness of a
-failed `validate`.  `validate` first decides with `_shares_a_pair`, which
-does the same work vertex by vertex and keeps one mark per vertex instead
-of a dict entry per pair: on the theorem-1 cover at (2,65,6) that dict
-holds 242k tuples.
+`edge_clique_map` and the witnesses of a failed `validate` and a failed
+`hypergraphs.hypergraph_is_linear`.  `validate` first decides with
+`_shares_a_pair`, which does the same work vertex by vertex and keeps one
+mark per vertex instead of a dict entry per pair: on the theorem-1 cover
+at (2,65,6) that dict holds 242k tuples.
 """
 
 from itertools import combinations

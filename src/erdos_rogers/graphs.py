@@ -384,19 +384,20 @@ def bipartition_violation(g, left):
     return None
 
 
-def _girth_at_most(g, max_len):
-    """The girth of g if it is at most max_len, else None.
+def _girth_at_most(rows, max_len, lower=3):
+    """The girth of the graph with adjacency rows `rows` if it is at most
+    max_len, else None; `lower` is a known lower bound on the girth.
 
     A BFS from each root, level by level on bit rows: an edge inside level
     k closes a closed walk of length 2k + 1, and a vertex of level k + 1
     with two neighbours in level k one of length 2k + 2.  Each such walk
     holds a cycle, and from a root on a shortest cycle the least one is
     that cycle, so the minimum over roots is the girth.  A root's BFS stops
-    once no deeper level can beat the best length so far."""
-    rows = g.rows()
+    once no deeper level can beat the best length so far, and the scan of
+    roots once the best length reaches `lower`, which no root can beat."""
     best = max_len + 1
-    for root in range(g.n):
-        if best <= 3:
+    for root in range(len(rows)):
+        if best <= lower:
             break
         seen = level = 1 << root
         k = 0
@@ -423,14 +424,56 @@ def _girth_at_most(g, max_len):
     return best if best <= max_len else None
 
 
+def _root_cycle(nbrs, root, girth):
+    """(cycle, parent) of the BFS from root over the ascending neighbour
+    lists `nbrs` of a graph of girth `girth`: cycle is the first cycle of
+    that length a non-tree edge closes, as a vertex list, or None; parent
+    is the BFS tree, whole when cycle is None.
+
+    A non-tree edge (u, w) met from u, with w on u's level or the next,
+    closes the cycle u .. a .. w through the tree, a being the deepest
+    common ancestor of u and w.  An odd length needs w on u's level, an
+    even one w a level deeper, and the length is the girth exactly when a
+    lies k = (girth - 1) // 2 levels above u.  The climbs from u and from
+    w (from parent[w] when w is deeper) cannot meet in fewer steps, which
+    would close a shorter cycle, so they climb k steps and compare."""
+    k = (girth - 1) // 2
+    odd = girth & 1
+    parent = [-1] * len(nbrs)
+    dist = [-1] * len(nbrs)
+    dist[root] = 0
+    frontier = [root]
+    du = 0
+    while frontier:
+        nxt = []
+        # the level of the w that can close a cycle of the girth, if any
+        closing = du + 1 - odd if du >= k else -2
+        for u in frontier:
+            for w in nbrs[u]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    nxt.append(w)
+                elif dw == closing:
+                    a, b, j = u, (w if odd else parent[w]), k
+                    while j:
+                        a, b = parent[a], parent[b]
+                        j -= 1
+                    if a == b:
+                        return _tree_path(u, a, parent) + _tree_path(w, a, parent)[-2::-1], parent
+        frontier = nxt
+        du += 1
+    return None, parent
+
+
 def find_short_cycle(g, max_len):
     """A shortest cycle of length <= max_len as a vertex list, else None.
 
     The cycle returned is the first shortest one in root order, then BFS
     order: roots are taken in increasing order, each BFS scans neighbours
-    in increasing order, and each non-tree edge (u, w) met from u with
-    dist[w] >= dist[u] closes the cycle u .. a .. w through the BFS tree,
-    a being the deepest common ancestor of u and w.
+    in increasing order, and each non-tree edge closes a cycle through the
+    BFS tree (`_root_cycle`).
 
     Phase 1 computes the girth (`_girth_at_most`) and returns None at once
     when there is no cycle of length <= max_len.  Phase 2 runs the
@@ -438,34 +481,69 @@ def find_short_cycle(g, max_len):
     girth; a root on a shortest cycle always yields one, so phase 2 stops
     at the latest there.
     """
-    girth = _girth_at_most(g, max_len)
+    girth = _girth_at_most(g.rows(), max_len)
     if girth is None:
         return None
     nbrs = [tuple(bits(row)) for row in g.rows()]
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                for w in nbrs[u]:
-                    dw = dist[w]
-                    if dw < 0:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and dw >= du:
-                        # dw is du or du + 1: climb to the common ancestor a
-                        a, b = u, (w if dw == du else parent[w])
-                        while a != b:
-                            a, b = parent[a], parent[b]
-                        if du + dw + 1 - 2 * dist[a] == girth:
-                            return _tree_path(u, a, parent) + _tree_path(w, a, parent)[-2::-1]
-            frontier = nxt
+        cycle, _ = _root_cycle(nbrs, root, girth)
+        if cycle is not None:
+            return cycle
     raise SelfCheckError(f"no cycle of the girth {girth} in the enumeration")
+
+
+def prune_short_cycles(g, max_len):
+    """(pruned graph, deletions): while a cycle of length <= max_len is
+    left, delete the least edge of the cycle `find_short_cycle` returns.
+    The result is the same edge for edge as calling `find_short_cycle` and
+    rebuilding the graph after each deletion, but the work between two
+    deletions shrinks:
+
+    - rows and ascending neighbour lists are kept mutable, each deletion
+      edits both endpoints, and the `Graph` is built once at the end;
+    - phase 1 passes the last girth to `_girth_at_most` as its lower bound,
+      since a deletion never lowers the girth, so the root scan stops at
+      the first root that attains it;
+    - phase 2 skips a clean root: one whose BFS closed no cycle of the
+      current girth.  Deleting an edge that is not in a root's BFS tree
+      leaves that BFS discovering every vertex from the same parent in
+      the same order, so its tree is the same, its non-tree edges are a
+      subset of the old ones, and the lengths they close are unchanged; a
+      clean root stays clean.  Deleting one of its tree edges (parent[u]
+      == v or parent[v] == u), or a rise of the girth, makes it dirty.
+      Roots are still tried in order from 0, so the first cycle in root
+      order is the same one.
+
+    The clean roots keep their BFS parent lists, up to one per vertex."""
+    rows = list(g.rows())
+    nbrs = [list(bits(row)) for row in rows]
+    clean = {}  # root -> BFS parent list of a root with no cycle of the girth
+    girth = 3
+    deletions = 0
+    while True:
+        found = _girth_at_most(rows, max_len, girth)
+        if found is None:
+            break
+        if found != girth:
+            girth = found
+            clean.clear()
+        for root in range(g.n):
+            if root not in clean:
+                cycle, parent = _root_cycle(nbrs, root, girth)
+                if cycle is not None:
+                    break
+                clean[root] = parent
+        else:
+            raise SelfCheckError(f"no cycle of the girth {girth} in the enumeration")
+        u, v = min((a, b) if a < b else (b, a) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        nbrs[u].remove(v)
+        nbrs[v].remove(u)
+        for root in [r for r, parent in clean.items() if parent[u] == v or parent[v] == u]:
+            del clean[root]
+        deletions += 1
+    return Graph.from_rows(rows), deletions
 
 
 def _tree_path(v, top, parent):

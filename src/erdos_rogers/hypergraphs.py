@@ -4,13 +4,14 @@ pipelines.  The cover is a `CliqueCover(h.m, cliques)` whose cliques are
 sorted tuples of edge indices; the line graph itself is built only by
 `line_intersection_graph`.
 
-A hypergraph is linear when any two edges share at most one vertex; the
-one shared-pair sweep of `covers` checks it.  A triangle here is three
-edges pairwise intersecting in exactly one vertex with no vertex common to
-all three.  A loose cycle of length 2 is a pair of edges sharing at least
-two vertices; for length l > 2 it is l distinct edges e_1..e_l and l
-distinct vertices with consecutive edges (cyclically) meeting in exactly
-one vertex and all other pairs disjoint.
+A hypergraph is linear when any two edges share at most one vertex; a
+count of meeting edges decides it, and the one shared-pair sweep of
+`covers` names the witness.  A triangle here is three edges pairwise
+intersecting in exactly one vertex with no vertex common to all three.  A
+loose cycle of length 2 is a pair of edges sharing at least two vertices;
+for length l > 2 it is l distinct edges e_1..e_l and l distinct vertices
+with consecutive edges (cyclically) meeting in exactly one vertex and all
+other pairs disjoint.
 """
 
 from itertools import combinations
@@ -96,18 +97,43 @@ def _check_each_edge(edges, n, r):
         seen.add(t)
 
 
+def _later_meeting(edges, inc):
+    """For i from the last edge down, the set of edges k > i that meet
+    edge i.  It fills inc[v] with the edges through v in descending
+    order as it goes; inc starts as [()] * n, so that only the vertices in
+    use get a list of their own."""
+    for i in range(len(edges) - 1, -1, -1):
+        later = set()
+        for v in edges[i]:
+            through = inc[v]
+            if through:
+                later.update(through)
+                through.append(i)
+            else:
+                inc[v] = [i]
+        yield later
+
+
+def _pairs_through(inc):
+    """sum_v C(deg v, 2) over the incidence lists inc."""
+    return sum(len(t) * (len(t) - 1) // 2 for t in inc)
+
+
 def hypergraph_is_linear(h):
     """Audit: every two edges share at most one vertex.
 
-    Any violating pair shares some vertex pair, so it suffices to sweep all
-    within-edge vertex pairs once and look for a repeat: the shared-pair
-    sweep of `covers`, run on the sorted edge tuples.
+    Edge i meets at most sum_{v in e_i} |{k in K_v : k > i}| later edges,
+    with equality exactly when each of them shares a single vertex with
+    it, so h is linear iff the numbers of later edges meeting each edge
+    sum to sum_v C(deg v, 2).  That count keeps one set at a time; only a
+    non-linear h runs the shared-pair sweep of `covers`, for the witness:
+    the first vertex pair that an edge shares with an earlier one.
     """
-    _, shared = _first_shared_pair(h.edges)
-    if shared is not None:
-        i, j, pair = shared
-        return Audit("linear", False, {"edges": [i, j], "shared_vertices": list(pair)})
-    return Audit("linear", True)
+    inc = [()] * h.n
+    if sum(map(len, _later_meeting(h.edges, inc))) == _pairs_through(inc):
+        return Audit("linear", True)
+    _, (i, j, pair) = _first_shared_pair(h.edges)
+    return Audit("linear", False, {"edges": [i, j], "shared_vertices": list(pair)})
 
 
 def hypergraph_is_triangle_free(h):
@@ -131,33 +157,22 @@ def hypergraph_is_triangle_free(h):
     inside K_v is K_v less its least edge).  So the ordered pair scan runs
     at the first vertex that fails this test, and finds the witness there."""
     edges = h.edges
-    # one pass from the last edge: inc[v] lists the edges through v in
-    # descending order, and up[i] collects the later edges through e_i
+    # up[i] collects the later edges through e_i, and inc[v] lists the
+    # edges through v in descending order
     inc = [()] * h.n
-    up = [None] * h.m
-    for i in range(h.m - 1, -1, -1):
-        later = set()
-        for v in edges[i]:
-            through = inc[v]
-            if through:
-                later.update(through)
-                through.append(i)
-            else:
-                inc[v] = [i]
-        up[i] = later
-    pairs = 0  # sum_v C(deg v, 2)
+    up = list(_later_meeting(edges, inc))
+    up.reverse()
+    if sum(map(len, up)) != _pairs_through(inc):
+        lin = hypergraph_is_linear(h)
+        raise InputError("triangle audit requires a linear hypergraph", witness=lin.witness)
     first_failed = None
     for v, through in enumerate(inc):
         d = len(through)
         if d > 1:
-            pairs += d * (d - 1) // 2
-            if first_failed is None:
-                sets = [up[i] for i in through]
-                if len(set().union(*sets)) != d - 1 + sum(map(len, sets)) - d * (d - 1) // 2:
-                    first_failed = v
-    if sum(map(len, up)) != pairs:
-        lin = hypergraph_is_linear(h)
-        raise InputError("triangle audit requires a linear hypergraph", witness=lin.witness)
+            sets = [up[i] for i in through]
+            if len(set().union(*sets)) != d - 1 + sum(map(len, sets)) - d * (d - 1) // 2:
+                first_failed = v
+                break
     if first_failed is None:
         return Audit("triangle_free", True)
     v = first_failed

@@ -32,7 +32,7 @@ from .graphs import (
     induced_subgraph_with_map,
     is_biconnected,
     is_clique,
-    find_short_cycle,
+    prune_short_cycles,
     random_regular_bipartite,
     triangle_witness,
 )
@@ -644,17 +644,7 @@ def theorem4_part1_build(g, pattern, n, d, girth_target, rng):
         )
 
     bip = random_regular_bipartite(n, n, d, rng.substream("bipartite"))
-    deletions = 0
-    while True:
-        cyc = find_short_cycle(bip, girth_target)
-        if cyc is None:
-            break
-        drop = min(
-            (min(cyc[i], cyc[(i + 1) % len(cyc)]), max(cyc[i], cyc[(i + 1) % len(cyc)]))
-            for i in range(len(cyc))
-        )
-        bip = Graph(bip.n, [e for e in bip.edges() if e != drop])
-        deletions += 1
+    bip, deletions = prune_short_cycles(bip, girth_target)
 
     min_deg = min(bip.degree(v) for v in range(bip.n))
     cover = square_clique_cover(bip, range(n))

@@ -15,6 +15,7 @@ import struct
 _MASK64 = (1 << 64) - 1
 _FLOAT_SCALE = 2.0 ** -53
 _BLOCK_WORDS = struct.Struct("<8Q")
+_BLOCK_INDEX = struct.Struct("<Q")
 
 
 def _label_state(seed, label):
@@ -55,7 +56,7 @@ class SeededRng:
         little-endian block index (a copy of the keyed state, which gives
         the same digest as keying afresh)."""
         h = self._keyed.copy()
-        h.update(self._block.to_bytes(8, "little"))
+        h.update(_BLOCK_INDEX.pack(self._block))
         self._block += 1
         return h.digest()
 
@@ -76,26 +77,40 @@ class SeededRng:
 
     def bernoulli_indices(self, count, p):
         """The indices i < count at which the next `count` random() draws
-        fall below p, consuming exactly the words those draws would.
+        fall below p, consuming exactly the words those draws would: the
+        rest of the current buffer one word at a time, then every whole
+        block in one loop, then the tail one word at a time.
 
         random() < p iff (w >> 11) < ceil(p * 2^53), i.e. w < limit with
         limit = ceil(p * 2^53) << 11.  When limit <= 2^56 a passing word
         has a zero top byte, so a 64-byte block whose bytes 7, 15, .., 63
         are all nonzero holds no hit and is skipped undecoded."""
         limit = math.ceil(p * 2.0**53) << 11
-        sparse = limit <= 1 << 56
         hits = []
         i = 0
-        while i < count:
-            if self._pos >= len(self._buf) and count - i >= 8:
-                raw = self._next_block()
+        while i < count and self._pos < len(self._buf):
+            if self.u64() < limit:
+                hits.append(i)
+            i += 1
+        blocks = (count - i) // 8
+        if blocks:
+            # each block as `_next_block` makes it, the buffer left empty
+            sparse = limit <= 1 << 56
+            copy = self._keyed.copy
+            pack = _BLOCK_INDEX.pack
+            unpack = _BLOCK_WORDS.unpack
+            for index in range(self._block, self._block + blocks):
+                h = copy()
+                h.update(pack(index))
+                raw = h.digest()
                 if not sparse or 0 in raw[7::8]:
-                    hits.extend(i + j for j, w in enumerate(_BLOCK_WORDS.unpack(raw)) if w < limit)
+                    hits.extend(i + j for j, w in enumerate(unpack(raw)) if w < limit)
                 i += 8
-            else:
-                if self.u64() < limit:
-                    hits.append(i)
-                i += 1
+            self._block += blocks
+        while i < count:
+            if self.u64() < limit:
+                hits.append(i)
+            i += 1
         return hits
 
     def randrange(self, n):

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from erdos_rogers import Graph, contains_subgraph
-from erdos_rogers.graphs import bits
+from erdos_rogers.graphs import bits, find_short_cycle
 from erdos_rogers.pipelines import canonical_form
 
 
@@ -230,6 +230,20 @@ def all_roots_short_cycle(g, max_len):
     if best is not None and len(best) <= max_len:
         return best
     return None
+
+
+def rebuild_prune_short_cycles(g, max_len):
+    """(pruned graph, deletions) the slow way: while `find_short_cycle`
+    finds a cycle of length <= max_len, delete the cycle's least edge and
+    rebuild the graph from the edges left."""
+    deletions = 0
+    while True:
+        cyc = find_short_cycle(g, max_len)
+        if cyc is None:
+            return g, deletions
+        drop = min((min(e), max(e)) for e in zip(cyc, cyc[1:] + cyc[:1]))
+        g = Graph(g.n, [e for e in g.edges() if e != drop])
+        deletions += 1
 
 
 def hypergraph_independent(h, vertices):

@@ -23,6 +23,7 @@ from erdos_rogers import (
     petersen_graph,
 )
 from erdos_rogers.graphs import (
+    _root_cycle,
     bipartition_violation,
     bits,
     connected_components,
@@ -32,12 +33,13 @@ from erdos_rogers.graphs import (
     induced_subgraph_with_map,
     is_biconnected,
     is_clique,
+    prune_short_cycles,
     random_regular_bipartite,
     triangle_witness,
     wagner_graph,
 )
 from erdos_rogers.pipelines import _with_new_vertex
-from oracles import all_roots_short_cycle, bipartite_gnp, gnp_graph, numpy_rng
+from oracles import all_roots_short_cycle, bipartite_gnp, gnp_graph, numpy_rng, rebuild_prune_short_cycles
 
 SEEDS = [0, 1, 7, 42, 1234]
 
@@ -216,6 +218,56 @@ def test_find_short_cycle_matches_reference_through_pruning(n, d, girth):
         ring = list(zip(cyc, cyc[1:] + cyc[:1]))
         drop = min((min(e), max(e)) for e in ring)
         bip = Graph(bip.n, [e for e in bip.edges() if e != drop])
+
+
+def _assert_prunes_like_rebuild(g, max_len):
+    pruned, deletions = prune_short_cycles(g, max_len)
+    ref, ref_deletions = rebuild_prune_short_cycles(g, max_len)
+    assert (pruned.n, pruned.upper_edges(), deletions) == (ref.n, ref.upper_edges(), ref_deletions)
+    assert pruned.rows() == ref.rows()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n,d,girth", [(40, 4, 10), (48, 5, 10), (60, 5, 8), (120, 5, 10)])
+def test_prune_short_cycles_matches_rebuild_reference(n, d, girth, seed):
+    bip = random_regular_bipartite(n, n, d, SeededRng(seed, "theorem4-part1").substream("bipartite"))
+    _assert_prunes_like_rebuild(bip, girth)
+
+
+def test_prune_short_cycles_matches_rebuild_reference_on_short_cycle_hosts():
+    for g in _short_cycle_hosts():
+        full = all_roots_short_cycle(g, g.n)
+        girth = len(full) if full else 3
+        for max_len in range(girth, girth + 3):
+            _assert_prunes_like_rebuild(g, max_len)
+
+
+def _clean_tree_edge_deletions(g, max_len):
+    """The deletions of the rebuild pruning that remove a BFS tree edge of
+    a root before the cycle's root, one whose BFS closed no cycle of the
+    girth: each makes a clean root dirty."""
+    hits = 0
+    while (cyc := find_short_cycle(g, max_len)) is not None:
+        nbrs = [tuple(bits(row)) for row in g.rows()]
+        clean_trees = []
+        for root in range(g.n):
+            found, parent = _root_cycle(nbrs, root, len(cyc))
+            if found is not None:
+                break
+            clean_trees.append(parent)
+        assert found == cyc
+        u, v = min((min(e), max(e)) for e in zip(cyc, cyc[1:] + cyc[:1]))
+        hits += any(parent[u] == v or parent[v] == u for parent in clean_trees)
+        g = Graph(g.n, [e for e in g.edges() if e != (u, v)])
+    return hits
+
+
+def test_prune_short_cycles_redoes_a_clean_root_whose_tree_lost_an_edge():
+    # a pruner that kept such a root clean deletes 25 edges here, not 24
+    bip = random_regular_bipartite(16, 16, 4, SeededRng(1, "short-cycle"))
+    assert _clean_tree_edge_deletions(bip, 6) > 0
+    _assert_prunes_like_rebuild(bip, 6)
+    assert prune_short_cycles(bip, 6)[1] == 24
 
 
 # sha256 of graph_to_text of each seeded test graph, so that no test's

@@ -6,12 +6,14 @@ from erdos_rogers import (
     FormatError,
     Hypergraph,
     InputError,
+    SeededRng,
     find_loose_cycles,
     hypergraph_girth_at_least,
     hypergraph_is_linear,
     hypergraph_is_triangle_free,
     line_intersection_graph,
 )
+from erdos_rogers.covers import _first_shared_pair
 from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text
 from oracles import first_loose_triangle, naive_loose_cycles
 
@@ -27,6 +29,34 @@ def test_linearity():
     audit = hypergraph_is_linear(NOT_LINEAR)
     assert not audit.passed
     assert audit.witness is not None
+
+
+def _random_hypergraph(seed):
+    """Distinct r-edges, r in 2..5, drawn on 8 to 27 vertices."""
+    rng = SeededRng(seed, "linear")
+    n = 8 + rng.randrange(20)
+    r = 2 + rng.randrange(4)
+    edges = []
+    for _ in range(rng.randrange(30)):
+        e = tuple(sorted(rng.sample(range(n), r)))
+        if e not in edges:
+            edges.append(e)
+    return Hypergraph(n, edges, r)
+
+
+def test_linearity_matches_the_shared_pair_sweep():
+    outcomes = set()
+    for seed in range(60):
+        h = _random_hypergraph(seed)
+        _, shared = _first_shared_pair(h.edges)
+        audit = hypergraph_is_linear(h)
+        if shared is None:
+            assert (audit.passed, audit.witness) == (True, None)
+        else:
+            i, j, pair = shared
+            assert (audit.passed, audit.witness) == (False, {"edges": [i, j], "shared_vertices": list(pair)})
+        outcomes.add(audit.passed)
+    assert outcomes == {False, True}
 
 
 def test_triangle_detection():

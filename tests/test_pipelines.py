@@ -368,6 +368,10 @@ THEOREM4_SHA256 = {
         "e20c4cbb1891722772ce54db65b9574f17c1d4045b0d7beb0a16b95944ead72f",
         "317004e30da0bd5f0852927a4d6395e9be4b8964fc8d5e780a7db8ef8c40861c",
     ),
+    ("part1", 250, 5, 10): (
+        "d7464cc316dba2e7e371698b09b8eb02e985c8e3d16dbfa51bde0bab44131cba",
+        "029ab8320a0bff2348cadcd1c7124d7ee005372578a31efc383350d6f77895dc",
+    ),
 }
 
 

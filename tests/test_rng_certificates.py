@@ -70,15 +70,26 @@ def test_random_unit_interval():
 BERNOULLI_PS = [0.0, 2.0**-50, math.nextafter(2.0**-8, 0.0), math.nextafter(2.0**-8, 1.0), 0.3, 1.0]
 
 
+# skip 7 leaves one word of the block in the buffer, skip 8 none
 @pytest.mark.parametrize("p", BERNOULLI_PS)
 @pytest.mark.parametrize("count", [0, 5, 8, 13, 61, 1003, 20_001])
-@pytest.mark.parametrize("skip", [0, 3])
+@pytest.mark.parametrize("skip", [0, 3, 7, 8])
 def test_bernoulli_indices_matches_random_draws(p, count, skip):
     a = SeededRng(17, "bernoulli")
     b = SeededRng(17, "bernoulli")
     for _ in range(skip):
         assert a.u64() == b.u64()
     assert a.bernoulli_indices(count, p) == [i for i in range(count) if b.random() < p]
+    assert a.u64() == b.u64()
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+@pytest.mark.parametrize("first,second", [(3, 5), (5, 13), (13, 61), (16, 1003), (1003, 20_001)])
+def test_bernoulli_indices_back_to_back(p, first, second):
+    a = SeededRng(17, "bernoulli")
+    b = SeededRng(17, "bernoulli")
+    assert a.bernoulli_indices(first, p) == [i for i in range(first) if b.random() < p]
+    assert a.bernoulli_indices(second, p) == [i for i in range(second) if b.random() < p]
     assert a.u64() == b.u64()
 
 
