@@ -51,13 +51,15 @@ from .subgraph import contains_subgraph
 # Search nodes per millisecond of each engine, the rate at which --budget-ms
 # becomes a node budget.  Measured by `python3 bench/run.py --trace 1 --seed 1`
 # on a 2-vCPU x86-64 VM with Python 3.11: search.max_f_free_subset.nodes_per_ms
-# on ffree-search (135,916 nodes; a second run read 43, exact-oracle 65);
+# on ffree-search (135,916 nodes; the median of five runs that read 259-295,
+# once most branch steps are answered from the per-vertex copies and free
+# sets; the per-step search it replaced read 84 side by side, exact-oracle 94);
 # max_independent_set nodes per ms of self time on girth-clones (67 nodes in
 # 0.88 ms, the only workload that calls it); contains_subgraph nodes per ms
 # of self time on ffree-search (1,089,102 nodes in 2.19 s; a second run read
 # 379, exact-oracle 238).
 NODES_PER_MS = {
-    "max_f_free_subset": 56,
+    "max_f_free_subset": 281,
     "max_independent_set": 76,
     "contains_subgraph": 497,
 }

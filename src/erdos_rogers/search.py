@@ -72,27 +72,33 @@ def max_independent_set(g, budget=DEFAULT_SET_BUDGET):
     never smaller than the greedy Turan floor."""
     seed = greedy_independent_set(g)
     best = [len(seed), seed.mask, 0]
-    exhausted = not _mis_branch(g.rows(), g.full_mask(), 0, 0, best, budget)
+    exhausted = not _mis_branch(g.rows(), g.full_mask(), best, budget)
     _, best_mask, nodes = best
     _verify_independent(g, best_mask)
     status = "lower-bound" if exhausted else "optimal"
     return SetSearchResult(VertexSet(best_mask), status, nodes)
 
 
-def _mis_branch(rows, alive, cur_mask, cur_size, best, budget):
-    """Search the independent sets that extend cur_mask inside alive;
-    best = [size, mask, nodes] is updated in place.  False once the node
-    budget runs out."""
+def _mis_branch(rows, alive, best, budget):
+    """Search the independent sets inside alive, each branch taking its
+    pivot first and leaving it out afterwards; best = [size, mask, nodes]
+    is updated in place.  The leave-out branches wait on an explicit
+    stack, so the depth is not bounded by the interpreter's recursion
+    limit.  False once the node budget runs out."""
+    stack = []
+    cur_mask = cur_size = 0
     while True:
         best[2] += 1
         if best[2] > budget:
             return False
         count = alive.bit_count()
-        if cur_size + count <= best[0]:
-            return True
-        if count == 0:
-            best[0], best[1] = cur_size, cur_mask
-            return True
+        if cur_size + count <= best[0] or count == 0:
+            if cur_size > best[0]:
+                best[0], best[1] = cur_size, cur_mask
+            if not stack:
+                return True
+            alive, cur_mask, cur_size = stack.pop()
+            continue
         pivot = -1
         pivot_deg = -1
         low = -1
@@ -108,28 +114,50 @@ def _mis_branch(rows, alive, cur_mask, cur_size, best, budget):
             cur_size += 1
             alive &= ~(rows[low] | (1 << low))
             continue
-        # branch: include pivot, then exclude it
-        taken = alive & ~(rows[pivot] | (1 << pivot))
-        if not _mis_branch(rows, taken, cur_mask | (1 << pivot), cur_size + 1, best, budget):
-            return False
-        alive &= ~(1 << pivot)
+        # branch: include pivot now, exclude it once that is done
+        stack.append((alive & ~(1 << pivot), cur_mask, cur_size))
+        alive &= ~(rows[pivot] | (1 << pivot))
+        cur_mask |= 1 << pivot
+        cur_size += 1
+
+
+def _copy_mask(host, sub_mask, pattern, new_vertex=None):
+    """The vertex mask of a pattern copy inside the subgraph induced on
+    sub_mask, or 0 when there is none.  With new_vertex set, only copies
+    through that vertex count (valid for incremental growth of an already
+    pattern-free set).  The copy comes from contains_subgraph, which
+    verifies its embedding; an undecided search is a SelfCheckError."""
+    res = contains_subgraph(host, pattern, forced_vertex=new_vertex, within=sub_mask)
+    if res.status == "unknown":
+        raise SelfCheckError("pattern check exceeded its budget on a desk-size input")
+    copy = 0
+    if res.found:
+        for v in res.embedding:
+            copy |= 1 << v
+    return copy
 
 
 def _is_f_free(host, sub_mask, pattern, new_vertex=None):
     """Does the subgraph induced on sub_mask avoid pattern copies?  With
-    new_vertex set, only copies through that vertex are checked (valid for
-    incremental growth of an already pattern-free set)."""
-    res = contains_subgraph(host, pattern, forced_vertex=new_vertex, within=sub_mask)
-    if res.status == "unknown":
-        raise SelfCheckError("pattern check exceeded its budget on a desk-size input")
-    return res.status == "absent"
+    new_vertex set, only copies through that vertex are checked.  One
+    containment call, used for the greedy seed and the final whole-set
+    re-check; the branch search asks _copy_mask through its memo."""
+    return not _copy_mask(host, sub_mask, pattern, new_vertex)
 
 
 def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
     """Largest vertex set whose induced subgraph contains no copy of the
-    pattern.  With pattern K2 this coincides with max_independent_set but
-    runs through the generic machinery (the two are cross-checked in the
-    tests rather than sharing code)."""
+    pattern.  With pattern K2 this coincides with max_independent_set; the
+    two engines share no code and are cross-checked in the tests.
+
+    A greedy seed in ascending-degree order gives the first incumbent.  The
+    branch search then decides vertices 0, 1, ... in order, taking each
+    vertex i when it closes no copy through i.  Whether it does is answered
+    first from what earlier searches at i proved: a grown set holding a
+    copy kept in copies[i] closes one, and a grown set inside free[i], the
+    last set i was found free in, closes none.  Only the other steps call
+    contains_subgraph, forced through i, and record its answer.  The
+    returned set is re-checked whole before it is returned."""
     if pattern.n < 1 or pattern.m < 1:
         raise InputError("pattern needs at least one edge")
     n = g.n
@@ -139,7 +167,7 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
         if _is_f_free(g, seed_mask | (1 << v), pattern, new_vertex=v):
             seed_mask |= 1 << v
     best = [seed_mask.bit_count(), seed_mask, 0]
-    exhausted = not _ffree_branch(g, pattern, 0, 0, 0, best, budget)
+    exhausted = not _ffree_branch(g, pattern, best, budget)
     _, best_mask, nodes = best
     if not _is_f_free(g, best_mask, pattern):
         raise SelfCheckError("returned set contains a pattern copy")
@@ -147,24 +175,53 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
     return SetSearchResult(VertexSet(best_mask), status, nodes)
 
 
-def _ffree_branch(g, pattern, i, cur_mask, cur_size, best, budget):
-    """Decide vertices i, i+1, ... of g, each taken when it closes no
-    pattern copy and then left out; best = [size, mask, nodes] is updated
-    in place.  False once the node budget runs out."""
-    if cur_size + (g.n - i) <= best[0]:
-        return True
-    if i == g.n:
-        best[0], best[1] = cur_size, cur_mask
-        return True
-    best[2] += 1
-    if best[2] > budget:
-        return False
-    grown = cur_mask | (1 << i)
-    if _is_f_free(g, grown, pattern, new_vertex=i) and not _ffree_branch(
-        g, pattern, i + 1, grown, cur_size + 1, best, budget
-    ):
-        return False
-    return _ffree_branch(g, pattern, i + 1, cur_mask, cur_size, best, budget)
+def _ffree_branch(g, pattern, best, budget):
+    """Decide vertices 0, 1, ... of g, each taken when it closes no pattern
+    copy and then left out; best = [size, mask, nodes] is updated in place.
+    The leave-out branches wait on an explicit stack, so the depth is not
+    bounded by the interpreter's recursion limit.  False once the node
+    budget runs out.
+
+    Whether grown = cur_mask | {i} holds a copy through i is answered from
+    earlier steps at i when they decide it: copies[i] keeps the vertex
+    masks of the copies found through i (a grown set holding one holds a
+    copy), and free[i] the last grown set found to have none (a grown set
+    inside it has none).  Otherwise a forced containment call decides, and
+    its answer is recorded."""
+    n = g.n
+    copies = [[] for _ in range(n)]
+    free = [0] * n
+    stack = []
+    i = cur_mask = cur_size = 0
+    while True:
+        if cur_size + (n - i) <= best[0] or i == n:
+            if cur_size > best[0]:
+                best[0], best[1] = cur_size, cur_mask
+            if not stack:
+                return True
+            i, cur_mask, cur_size = stack.pop()
+            continue
+        best[2] += 1
+        if best[2] > budget:
+            return False
+        grown = cur_mask | (1 << i)
+        copy = 0  # the vertex mask of a copy through i inside grown
+        if grown & ~free[i]:
+            for copy in copies[i]:
+                if copy & grown == copy:
+                    break
+            else:
+                copy = _copy_mask(g, grown, pattern, new_vertex=i)
+                if copy:
+                    copies[i].append(copy)
+                else:
+                    free[i] = grown
+        if not copy:
+            # include i now, exclude it once that is done
+            stack.append((i + 1, cur_mask, cur_size))
+            cur_mask = grown
+            cur_size += 1
+        i += 1
 
 
 # ---------------------------------------------------------------------------

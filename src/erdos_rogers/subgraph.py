@@ -7,7 +7,10 @@ an induced subgraph is found without building that subgraph; with
 forced_vertex=v only copies through v count.  This is the one containment
 core: F-free subset search, the C_k audits of the pipelines, the exact
 oracle's augmentation, every whole-host scan and the homomorphism test
-blowup.is_hom_free call it.  A placed host vertex is used up through the
+blowup.is_hom_free call it.  The F-free search first consults what its
+earlier forced searches at a vertex proved, the copies found through it
+and the last set it was free in, and calls the core only when they do not
+decide.  A placed host vertex is used up through the
 `distinct` mask: -1 for a copy, 0 for a homomorphism, whose map may repeat.
 
 The search is backtracking over bit rows.  A pattern vertex's candidates are

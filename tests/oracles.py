@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from erdos_rogers import Graph, contains_subgraph
+from erdos_rogers import Graph, contains_subgraph, greedy_independent_set
 from erdos_rogers.graphs import bits, find_short_cycle
 from erdos_rogers.pipelines import canonical_form
 
@@ -104,6 +104,87 @@ def brute_max_ffree(g, pattern):
             if not perm_contains(induced_subgraph(g, list(combo)), pattern):
                 return size
     return 0
+
+
+def per_step_max_f_free_subset(g, pattern, budget=2_000_000):
+    """(mask, status, nodes) of max_f_free_subset the per-step way: the
+    same greedy seed, order and bound, with one recursive branch per
+    vertex and a forced containment call at every step, nothing memoised."""
+    def free_through(mask, v):
+        res = contains_subgraph(g, pattern, forced_vertex=v, within=mask)
+        assert res.status != "unknown"
+        return not res.found
+
+    def branch(i, cur_mask, cur_size):
+        if cur_size + (g.n - i) <= best[0]:
+            return True
+        if i == g.n:
+            best[0], best[1] = cur_size, cur_mask
+            return True
+        best[2] += 1
+        if best[2] > budget:
+            return False
+        grown = cur_mask | (1 << i)
+        if free_through(grown, i) and not branch(i + 1, grown, cur_size + 1):
+            return False
+        return branch(i + 1, cur_mask, cur_size)
+
+    seed_mask = 0
+    for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
+        if free_through(seed_mask | (1 << v), v):
+            seed_mask |= 1 << v
+    best = [seed_mask.bit_count(), seed_mask, 0]
+    status = "optimal" if branch(0, 0, 0) else "lower-bound"
+    return best[1], status, best[2]
+
+
+def recursive_max_independent_set(g, budget=2_000_000):
+    """(mask, status, nodes) of max_independent_set with one recursive
+    call per included pivot: the same greedy seed, low-degree rule, pivot
+    and bound."""
+    rows = g.rows()
+
+    def branch(alive, cur_mask, cur_size):
+        while True:
+            best[2] += 1
+            if best[2] > budget:
+                return False
+            count = alive.bit_count()
+            if cur_size + count <= best[0]:
+                return True
+            if count == 0:
+                best[0], best[1] = cur_size, cur_mask
+                return True
+            pivot, pivot_deg, low = -1, -1, -1
+            for v in bits(alive):
+                dv = (rows[v] & alive).bit_count()
+                if dv <= 1:
+                    low = v
+                    break
+                if dv > pivot_deg:
+                    pivot_deg, pivot = dv, v
+            if low >= 0:
+                cur_mask |= 1 << low
+                cur_size += 1
+                alive &= ~(rows[low] | (1 << low))
+                continue
+            taken = alive & ~(rows[pivot] | (1 << pivot))
+            if not branch(taken, cur_mask | (1 << pivot), cur_size + 1):
+                return False
+            alive &= ~(1 << pivot)
+
+    seed = greedy_independent_set(g)
+    best = [len(seed), seed.mask, 0]
+    status = "optimal" if branch(g.full_mask(), 0, 0) else "lower-bound"
+    return best[1], status, best[2]
+
+
+def disjoint_cycles(count, length):
+    """count vertex-disjoint cycles of the given length, cycle c on the
+    vertices c * length to c * length + length - 1."""
+    return Graph(count * length, [
+        (c * length + j, c * length + (j + 1) % length) for c in range(count) for j in range(length)
+    ])
 
 
 def find_any_sunflower(family, m):

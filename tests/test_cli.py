@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from erdos_rogers import read_graph, read_manifest, write_graph, named_graph
 from erdos_rogers.cli import main
+from oracles import disjoint_cycles
 
 
 def run(argv, capsys):
@@ -363,3 +365,24 @@ def test_theorem4_part2_cli_roundtrip(tmp_path, capsys):
     assert main(["verify", "subgraph-free", out, "--pattern", "c4"]) == 0
     g = read_graph(out)
     assert g.n == 30
+
+
+@pytest.mark.parametrize(
+    "count,length,argv,size,seconds",
+    [
+        # 1,500 and 3,300 vertices: a search that spent a stack frame per
+        # included vertex would end in a RecursionError
+        (375, 4, ["search", "max-ffree", "--f", "c4"], 1125, 20),
+        (1100, 3, ["search", "independent-set"], 1100, 30),
+    ],
+)
+def test_set_searches_finish_on_thousands_of_vertices(tmp_path, capsys, count, length, argv, size, seconds):
+    host = str(tmp_path / "host.g")
+    write_graph(host, disjoint_cycles(count, length))
+    started = time.monotonic()
+    code, out, _ = run(argv + ["--in", host, "--budget-ms", "100"], capsys)
+    elapsed = time.monotonic() - started
+    assert code == 0
+    head, status = out.splitlines()[0].split()
+    assert int(head) == size and status in ("optimal", "lower-bound")
+    assert elapsed < seconds

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import pytest
 
@@ -26,7 +28,16 @@ from erdos_rogers.search import (
     hypergraph_independence_violation,
     validate_sunflower,
 )
-from oracles import brute_max_ffree, brute_mis, find_any_sunflower, gnp_graph, perm_contains
+from erdos_rogers.search import DEFAULT_SET_BUDGET
+from oracles import (
+    brute_max_ffree,
+    brute_mis,
+    disjoint_cycles,
+    find_any_sunflower,
+    gnp_graph,
+    perm_contains,
+    recursive_max_independent_set,
+)
 
 SEEDS = list(range(10))
 
@@ -72,6 +83,37 @@ def test_mis_matches_brute_force(seed):
 )
 def test_mis_known_values(build, expect):
     assert max_independent_set(build()).size == expect
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("budget", [3, 50, DEFAULT_SET_BUDGET])
+def test_mis_matches_recursive_reference(seed, budget):
+    for n, p in [(12, 0.2), (16, 0.3), (16, 0.5)]:
+        g = gnp_graph(n, p, SeededRng(seed, f"mis-ref-{n}-{p}"))
+        res = max_independent_set(g, budget=budget)
+        assert (res.vertex_set.mask, res.status, res.nodes) == recursive_max_independent_set(g, budget)
+
+
+@pytest.mark.parametrize("budget", [3, 50, 500])
+def test_mis_matches_recursive_reference_200_deep(budget):
+    g = disjoint_cycles(200, 3)
+    res = max_independent_set(g, budget=budget)
+    assert (res.vertex_set.mask, res.status, res.nodes) == recursive_max_independent_set(g, budget)
+
+
+def test_set_searches_keep_their_stack_depth():
+    # the searches go 300 deep with the interpreter held to a few dozen
+    # frames above this test, so no frame may be spent per included vertex
+    triangles, squares = disjoint_cycles(300, 3), disjoint_cycles(300, 4)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        mis = max_independent_set(triangles, budget=1000)
+        ffree = max_f_free_subset(squares, cycle_graph(4), budget=1000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (mis.size, mis.status, mis.nodes) == (300, "lower-bound", 1001)
+    assert (ffree.size, ffree.status, ffree.nodes) == (900, "lower-bound", 1001)
 
 
 def test_mis_budget_exhaustion_is_labeled():

@@ -2,8 +2,9 @@
 
 contains_subgraph(host, P, within=mask) must answer as a search of the
 induced subgraph on the mask would, with and without a forced vertex, and
-max_f_free_subset (which calls it once per branch node) must find the
-exhaustive maximum.  A forced search keeps one anchor per automorphism
+max_f_free_subset (which calls it at the branch steps its memo of copies
+and free sets does not decide) must find the exhaustive maximum and return
+the set, status and node count of the per-step search it replaced.  A forced search keeps one anchor per automorphism
 orbit of the pattern.  The pinned sets fix the output of `search max-ffree`
 on three 18-vertex hosts to the values of the induced-subgraph search this
 core replaced.
@@ -15,10 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erdos_rogers import Graph, InputError, contains_subgraph, max_f_free_subset, named_graph
+from erdos_rogers import (
+    Graph,
+    InputError,
+    contains_subgraph,
+    max_f_free_subset,
+    max_independent_set,
+    named_graph,
+)
 from erdos_rogers.graphs import bits, induced_subgraph
+from erdos_rogers.search import DEFAULT_SET_BUDGET
 from erdos_rogers.subgraph import _placement_plans
-from oracles import brute_max_ffree, perm_contains
+from oracles import brute_max_ffree, per_step_max_f_free_subset, perm_contains
 
 PATTERNS = ["k2", "p3", "k3", "c4", "c5"]
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -78,6 +87,40 @@ def test_max_f_free_subset_matches_brute_force(host, name):
     assert res.status == "optimal"
     assert res.size == brute_max_ffree(host, pattern)
     assert not perm_contains(induced_subgraph(host, res.vertex_set.mask), pattern)
+
+
+MEMO_PATTERNS = ["k2", "p3", "k3", "c4", "c5", "k4", "p4", "k22"]
+BUDGETS = [3, 50, DEFAULT_SET_BUDGET]
+
+
+def assert_same_search(host, name):
+    pattern = named_graph(name)
+    for budget in BUDGETS:
+        res = max_f_free_subset(host, pattern, budget=budget)
+        got = (res.vertex_set.mask, res.status, res.nodes)
+        assert got == per_step_max_f_free_subset(host, pattern, budget), (name, budget)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hosts(max_n=16), st.sampled_from(MEMO_PATTERNS))
+def test_memoised_ffree_search_matches_per_step_search(host, name):
+    assert_same_search(host, name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", MEMO_PATTERNS)
+def test_memoised_ffree_search_matches_per_step_search_seeded(seed, name):
+    rnd = random.Random(f"erdos-rogers-memo/{seed}/{name}")
+    n = 16
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert_same_search(Graph(n, sorted(rnd.sample(pairs, rnd.randint(20, 60)))), name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hosts(max_n=12))
+def test_ffree_search_with_k2_is_max_independent_set(host):
+    # the two engines share no code, so each checks the other
+    assert max_f_free_subset(host, named_graph("k2")).size == max_independent_set(host).size
 
 
 @pytest.mark.parametrize(
