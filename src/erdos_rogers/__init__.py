@@ -27,12 +27,9 @@ from .errors import FormatError, InputError, SelfCheckError
 from .graphs import (
     Graph,
     VertexSet,
-    blowup_graph,
     complete_bipartite,
     complete_graph,
-    complete_multipartite,
     cycle_graph,
-    empty_graph,
     graph_from_text,
     graph_to_text,
     induced_subgraph,
@@ -76,7 +73,6 @@ from .search import (
     max_f_free_subset,
     max_independent_set,
     spencer_independent_set,
-    sunflower_threshold,
     validate_sunflower,
 )
 from .subgraph import contains_subgraph
@@ -94,20 +90,17 @@ __all__ = [
     "SelfCheckError",
     "SpherePointSet",
     "VertexSet",
-    "blowup_graph",
     "brute_force_f",
     "ckfree_subset",
     "ckprop_dense_pair",
     "complete_bipartite",
     "complete_graph",
-    "complete_multipartite",
     "contains_subgraph",
     "cycle_graph",
     "density_floor",
     "dependent_random_choice",
     "efr_certificate",
     "efr_hypergraph",
-    "empty_graph",
     "erdos_rado_sunflower",
     "find_loose_cycles",
     "gfree_graph_reps",
@@ -139,7 +132,6 @@ __all__ = [
     "spencer_independent_set",
     "sphere_points",
     "square_clique_cover",
-    "sunflower_threshold",
     "theorem1_build",
     "theorem1_failure_bound",
     "theorem4_part1_build",

@@ -18,7 +18,7 @@ import time
 from .certificates import Certificate, make_manifest, write_manifest
 from .efr import efr_certificate, efr_hypergraph
 from .errors import FormatError, InputError
-from .graphs import named_graph, read_graph, read_text, write_graph
+from .graphs import _NAMED, named_graph, read_graph, read_text, write_graph
 from .hypergraphs import (
     hypergraph_girth_at_least,
     hypergraph_is_linear,
@@ -263,25 +263,24 @@ def cmd_verify_subgraph_free(args):
 # search
 # ---------------------------------------------------------------------------
 
-def cmd_search_independent_set(args):
-    g = read_graph(args.infile)
-    res = max_independent_set(g, budget=_budget_of(args, "max_independent_set"))
+def _print_set_search(args, res):
+    """The answer line and the record line of a set search's result."""
     ms = int((time.monotonic() - args.started) * 1000)
     print(f"{res.size} {res.status}")
     print(f"id={args.infile} size={res.size} status={res.status} "
           f"set={sorted(res.vertex_set.members())} nodes={res.nodes} verified=pass runtime_ms={ms}")
     return 0
+
+
+def cmd_search_independent_set(args):
+    g = read_graph(args.infile)
+    return _print_set_search(args, max_independent_set(g, budget=_budget_of(args, "max_independent_set")))
 
 
 def cmd_search_max_ffree(args):
     g = read_graph(args.infile)
     pattern = _load_pattern(args.f)
-    res = max_f_free_subset(g, pattern, budget=_budget_of(args, "max_f_free_subset"))
-    ms = int((time.monotonic() - args.started) * 1000)
-    print(f"{res.size} {res.status}")
-    print(f"id={args.infile} size={res.size} status={res.status} "
-          f"set={sorted(res.vertex_set.members())} nodes={res.nodes} verified=pass runtime_ms={ms}")
-    return 0
+    return _print_set_search(args, max_f_free_subset(g, pattern, budget=_budget_of(args, "max_f_free_subset")))
 
 
 def cmd_search_spencer(args):
@@ -395,9 +394,8 @@ def cmd_oracle_brute_force_f(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pattern_list(args):
-    for name in ("k2", "k3", "k4", "k5", "k6", "p3", "p4", "c4", "c5", "c6", "c7",
-                 "k22", "k33", "petersen", "wagner"):
-        g = named_graph(name)
+    for name, build in _NAMED.items():
+        g = build()
         print(f"{name}: n={g.n} m={g.m}")
     return 0
 

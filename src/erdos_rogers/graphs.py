@@ -216,10 +216,6 @@ def induced_subgraph_with_map(g, s):
 # named constructions
 # ---------------------------------------------------------------------------
 
-def empty_graph(n):
-    return Graph(n)
-
-
 def complete_graph(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -238,21 +234,6 @@ def complete_bipartite(a, b):
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
-def complete_multipartite(sizes):
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(sizes[i]):
-                for v in range(sizes[j]):
-                    edges.append((offsets[i] + u, offsets[j] + v))
-    return Graph(total, edges)
-
-
 def petersen_graph():
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -265,26 +246,6 @@ def wagner_graph():
     edges = [(i, (i + 1) % 8) for i in range(8)]
     edges += [(i, i + 4) for i in range(4)]
     return Graph(8, edges)
-
-
-def blowup_graph(base, sizes):
-    """Replace vertex i of base by an independent class of sizes[i] clones;
-    classes are fully joined exactly when the base vertices are adjacent."""
-    if isinstance(sizes, int):
-        sizes = [sizes] * base.n
-    if len(sizes) != base.n:
-        raise InputError("one class size per base vertex required")
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    edges = []
-    for u, v in base.upper_edges():
-        for i in range(sizes[u]):
-            for j in range(sizes[v]):
-                edges.append((offsets[u] + i, offsets[v] + j))
-    return Graph(total, edges)
 
 
 _NAMED = {

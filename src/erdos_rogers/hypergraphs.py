@@ -11,10 +11,12 @@ intersecting in exactly one vertex with no vertex common to all three.  A
 loose cycle of length 2 is a pair of edges sharing at least two vertices;
 for length l > 2 it is l distinct edges e_1..e_l and l distinct vertices
 with consecutive edges (cyclically) meeting in exactly one vertex and all
-other pairs disjoint.
+other pairs disjoint.  Loose cycles are found from the incidence lists:
+one sweep over the edges through each vertex names every meeting pair and
+the vertices it shares.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 from operator import lt
 
 from .covers import Audit, CliqueCover, _first_shared_pair
@@ -219,41 +221,49 @@ class LooseCycle:
 def _extend_loose(meet, esets, length, limit, out, path, verts, union):
     """Extend the loose path `path` (edge indices; verts, the vertices where
     consecutive edges meet; union, its vertices) to loose cycles of the
-    given length in canonical form, appended to out until it holds limit."""
+    given length in canonical form, appended to out until it holds limit.
+    A meet entry (j, v) means j shares only v with the last edge, which
+    misses the first edge (length >= 4) or meets it only in verts[0]
+    (length 3), so the closing vertex u on the first edge is never v."""
     if limit is not None and len(out) >= limit:
         return
     last = path[-1]
     first = path[0]
     if len(path) == length - 1:
         for j, v in meet[last]:
-            if j <= first or j in path:
+            # canonical direction: second index < last index
+            if j <= path[1] or j in path or v in verts:
                 continue
-            if j <= path[1]:
-                continue  # canonical direction: second index < last index
-            if v in verts or not esets[j].isdisjoint(union - esets[last] - esets[first]):
+            if not esets[j].isdisjoint(union - esets[last] - esets[first]):
                 continue
             closing = esets[j] & esets[first]
             if len(closing) != 1:
                 continue
-            u = next(iter(closing))
-            if u == v or u in verts:
-                continue
-            inter_last = esets[j] & esets[last]
-            if inter_last != {v}:
+            (u,) = closing
+            if u in verts:
                 continue
             out.append(LooseCycle(path + (j,), verts + (v, u)))
             if limit is not None and len(out) >= limit:
                 return
         return
     for j, v in meet[last]:
-        if j <= first or j in path:
-            continue
-        if v in verts:
+        if j <= first or j in path or v in verts:
             continue
         # non-consecutive edges must be entirely disjoint
         if not esets[j].isdisjoint(union - esets[last]):
             continue
         _extend_loose(meet, esets, length, limit, out, path + (j,), verts + (v,), union | esets[j])
+
+
+def _meeting_pairs(h):
+    """((i, j), shared) for each pair i < j of meeting edges, in ascending
+    pair order, with the vertices the two share ascending: one sweep of
+    the incidence lists."""
+    shared = {}
+    for v, through in enumerate(h.vertex_edges()):
+        for pair in combinations(through, 2):
+            shared.setdefault(pair, []).append(v)
+    return sorted(shared.items())
 
 
 def find_loose_cycles(h, length, limit=None):
@@ -262,31 +272,26 @@ def find_loose_cycles(h, length, limit=None):
     Canonical form: the edge index sequence starts at the cycle's smallest
     edge index and the second index is smaller than the last, so each cycle
     appears exactly once.  With limit set, enumeration stops early.
+    Length 2 is the meeting pairs sharing at least two vertices; longer
+    cycles walk the pairs sharing exactly one.
     """
-    out = []
     if length < 2:
         raise InputError("loose cycles have length at least 2")
-    esets = [frozenset(e) for e in h.edges]
+    pairs = _meeting_pairs(h)
     if length == 2:
-        for i in range(h.m):
-            for j in range(i + 1, h.m):
-                inter = esets[i] & esets[j]
-                if len(inter) >= 2:
-                    out.append(LooseCycle((i, j), tuple(sorted(inter))))
-                    if limit is not None and len(out) >= limit:
-                        return out
-        return out
+        return list(islice((LooseCycle(pair, shared) for pair, shared in pairs if len(shared) >= 2), limit))
 
     # adjacency between edges sharing exactly one vertex
     meet = [[] for _ in range(h.m)]
-    for i in range(h.m):
-        for j in range(i + 1, h.m):
-            inter = esets[i] & esets[j]
-            if len(inter) == 1:
-                v = next(iter(inter))
-                meet[i].append((j, v))
-                meet[j].append((i, v))
+    for (i, j), shared in pairs:
+        if len(shared) == 1:
+            (v,) = shared
+            meet[i].append((j, v))
+            meet[j].append((i, v))
+    del pairs
 
+    out = []
+    esets = [frozenset(e) for e in h.edges]
     for i in range(h.m):
         for j, v in meet[i]:
             if j <= i:

@@ -137,14 +137,6 @@ def _copy_mask(host, sub_mask, pattern, new_vertex=None):
     return copy
 
 
-def _is_f_free(host, sub_mask, pattern, new_vertex=None):
-    """Does the subgraph induced on sub_mask avoid pattern copies?  With
-    new_vertex set, only copies through that vertex are checked.  One
-    containment call, used for the greedy seed and the final whole-set
-    re-check; the branch search asks _copy_mask through its memo."""
-    return not _copy_mask(host, sub_mask, pattern, new_vertex)
-
-
 def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
     """Largest vertex set whose induced subgraph contains no copy of the
     pattern.  With pattern K2 this coincides with max_independent_set; the
@@ -164,12 +156,12 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
     # greedy seed in ascending-degree order
     seed_mask = 0
     for v in sorted(range(n), key=lambda v: (g.degree(v), v)):
-        if _is_f_free(g, seed_mask | (1 << v), pattern, new_vertex=v):
+        if not _copy_mask(g, seed_mask | (1 << v), pattern, new_vertex=v):
             seed_mask |= 1 << v
     best = [seed_mask.bit_count(), seed_mask, 0]
     exhausted = not _ffree_branch(g, pattern, best, budget)
     _, best_mask, nodes = best
-    if not _is_f_free(g, best_mask, pattern):
+    if _copy_mask(g, best_mask, pattern):
         raise SelfCheckError("returned set contains a pattern copy")
     status = "lower-bound" if exhausted else "optimal"
     return SetSearchResult(VertexSet(best_mask), status, nodes)
@@ -644,8 +636,3 @@ def erdos_rado_sunflower(family, m):
     if flower is not None:
         validate_sunflower(fam, flower, m)
     return flower
-
-
-def sunflower_threshold(t, m):
-    """Family size above which an m-petal sunflower is guaranteed."""
-    return math.factorial(t) * (m - 1) ** t

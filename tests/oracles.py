@@ -13,8 +13,9 @@ import itertools
 
 import numpy as np
 
-from erdos_rogers import Graph, contains_subgraph, greedy_independent_set
+from erdos_rogers import Graph, InputError, contains_subgraph, greedy_independent_set
 from erdos_rogers.graphs import bits, find_short_cycle
+from erdos_rogers.hypergraphs import LooseCycle
 from erdos_rogers.pipelines import canonical_form
 
 
@@ -82,11 +83,44 @@ def hom_exists(pattern, source):
     return False
 
 
+def complete_multipartite(sizes):
+    offsets = []
+    total = 0
+    for s in sizes:
+        offsets.append(total)
+        total += s
+    edges = []
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
+            for u in range(sizes[i]):
+                for v in range(sizes[j]):
+                    edges.append((offsets[i] + u, offsets[j] + v))
+    return Graph(total, edges)
+
+
+def blowup_graph(base, sizes):
+    """Replace vertex i of base by an independent class of sizes[i] clones;
+    classes are fully joined exactly when the base vertices are adjacent."""
+    if isinstance(sizes, int):
+        sizes = [sizes] * base.n
+    if len(sizes) != base.n:
+        raise InputError("one class size per base vertex required")
+    offsets = []
+    total = 0
+    for s in sizes:
+        offsets.append(total)
+        total += s
+    edges = []
+    for u, v in base.upper_edges():
+        for i in range(sizes[u]):
+            for j in range(sizes[v]):
+                edges.append((offsets[u] + i, offsets[v] + j))
+    return Graph(total, edges)
+
+
 def blowup_hom_oracle(f, g):
     """hom-freeness via an explicit blowup: no homomorphism g -> f iff the
     blowup of f with parts of size |V(g)| contains no copy of g."""
-    from erdos_rogers import blowup_graph, contains_subgraph
-
     if g.n == 0:
         return False
     if f.n == 0:
@@ -244,6 +278,75 @@ def naive_loose_cycles(h, length):
         if len(set(links)) == length:
             found.add(frozenset(combo))
     return len(found)
+
+
+def all_pairs_loose_cycles(h, length, limit=None):
+    """find_loose_cycles by intersecting every pair of edge sets: length 2
+    is the pairs sharing at least two vertices, and longer cycles grow from
+    the pairs sharing exactly one, in the package's canonical order."""
+    out = []
+    if length < 2:
+        raise InputError("loose cycles have length at least 2")
+    esets = [frozenset(e) for e in h.edges]
+    if length == 2:
+        for i in range(h.m):
+            for j in range(i + 1, h.m):
+                inter = esets[i] & esets[j]
+                if len(inter) >= 2:
+                    out.append(LooseCycle((i, j), tuple(sorted(inter))))
+                    if limit is not None and len(out) >= limit:
+                        return out
+        return out
+
+    meet = [[] for _ in range(h.m)]
+    for i in range(h.m):
+        for j in range(i + 1, h.m):
+            inter = esets[i] & esets[j]
+            if len(inter) == 1:
+                v = next(iter(inter))
+                meet[i].append((j, v))
+                meet[j].append((i, v))
+
+    def extend(path, verts, union):
+        if limit is not None and len(out) >= limit:
+            return
+        last = path[-1]
+        first = path[0]
+        if len(path) == length - 1:
+            for j, v in meet[last]:
+                if j <= first or j in path:
+                    continue
+                if j <= path[1]:
+                    continue
+                if v in verts or not esets[j].isdisjoint(union - esets[last] - esets[first]):
+                    continue
+                closing = esets[j] & esets[first]
+                if len(closing) != 1:
+                    continue
+                u = next(iter(closing))
+                if u == v or u in verts:
+                    continue
+                if esets[j] & esets[last] != {v}:
+                    continue
+                out.append(LooseCycle(path + (j,), verts + (v, u)))
+                if limit is not None and len(out) >= limit:
+                    return
+            return
+        for j, v in meet[last]:
+            if j <= first or j in path or v in verts:
+                continue
+            if not esets[j].isdisjoint(union - esets[last]):
+                continue
+            extend(path + (j,), verts + (v,), union | esets[j])
+
+    for i in range(h.m):
+        for j, v in meet[i]:
+            if j <= i:
+                continue
+            extend((i, j), (v,), esets[i] | esets[j])
+            if limit is not None and len(out) >= limit:
+                return out
+    return out
 
 
 def first_loose_triangle(h):

@@ -14,7 +14,6 @@ import pytest
 from erdos_rogers import (
     Hypergraph,
     SeededRng,
-    blowup_graph,
     brute_force_f,
     ckfree_subset,
     complete_bipartite,
@@ -43,6 +42,7 @@ from erdos_rogers import (
 
 from oracles import (
     bipartite_gnp,
+    blowup_graph,
     blowup_hom_oracle,
     count_triangles,
     gnp_graph,

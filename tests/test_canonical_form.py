@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erdos_rogers import Graph, named_graph
-from erdos_rogers.graphs import bits, complete_graph, cycle_graph, empty_graph
+from erdos_rogers.graphs import bits, complete_graph, cycle_graph
 from erdos_rogers.pipelines import _refinement_classes, canonical_form
 from oracles import perm_canonical_form
 
@@ -53,7 +53,7 @@ def graphs_on_7_or_8(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(graphs_on_7_or_8())
-@example(empty_graph(8))
+@example(Graph(8))
 @example(complete_graph(8))
 @example(cycle_graph(8))
 @example(cube_graph())

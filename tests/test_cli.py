@@ -18,6 +18,28 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def test_pattern_list_names_every_pattern_in_table_order(capsys):
+    code, out, _ = run(["pattern", "list"], capsys)
+    assert code == 0
+    assert out == (
+        "k2: n=2 m=1\n"
+        "k3: n=3 m=3\n"
+        "k4: n=4 m=6\n"
+        "k5: n=5 m=10\n"
+        "k6: n=6 m=15\n"
+        "p3: n=3 m=2\n"
+        "p4: n=4 m=3\n"
+        "c4: n=4 m=4\n"
+        "c5: n=5 m=5\n"
+        "c6: n=6 m=6\n"
+        "c7: n=7 m=7\n"
+        "k22: n=4 m=4\n"
+        "k33: n=6 m=9\n"
+        "petersen: n=10 m=15\n"
+        "wagner: n=8 m=12\n"
+    )
+
+
 def test_pattern_write_and_oracle(tmp_path, capsys):
     k2 = str(tmp_path / "k2.g")
     k3 = str(tmp_path / "k3.g")

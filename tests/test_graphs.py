@@ -11,11 +11,9 @@ from erdos_rogers import (
     InputError,
     SeededRng,
     VertexSet,
-    blowup_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    empty_graph,
     graph_from_text,
     graph_to_text,
     named_graph,
@@ -39,7 +37,14 @@ from erdos_rogers.graphs import (
     wagner_graph,
 )
 from erdos_rogers.pipelines import _with_new_vertex
-from oracles import all_roots_short_cycle, bipartite_gnp, gnp_graph, numpy_rng, rebuild_prune_short_cycles
+from oracles import (
+    all_roots_short_cycle,
+    bipartite_gnp,
+    blowup_graph,
+    gnp_graph,
+    numpy_rng,
+    rebuild_prune_short_cycles,
+)
 
 SEEDS = [0, 1, 7, 42, 1234]
 
@@ -187,8 +192,8 @@ def _short_cycle_hosts():
         yield random_regular_bipartite(10, 10, 3, SeededRng(seed, "short-cycle"))
         yield random_regular_bipartite(16, 16, 4, SeededRng(seed, "short-cycle"))
     # forests, disconnected graphs and the empty graph
-    yield empty_graph(0)
-    yield empty_graph(5)
+    yield Graph(0)
+    yield Graph(5)
     yield path_graph(7)
     yield Graph(9, [(0, 1), (1, 2), (1, 3), (5, 6), (6, 7), (6, 8)])
     yield Graph(12, [(i, (i + 1) % 5) for i in range(5)] + [(6, 7), (7, 8), (8, 9), (9, 6)])
@@ -371,7 +376,7 @@ def test_graph_refusal_names_the_first_bad_pair(edges, message, witness):
 
 
 def test_empty_graph():
-    g = empty_graph(4)
+    g = Graph(4)
     assert g.n == 4 and g.m == 0
     assert len(connected_components(g)) == 4
 

@@ -15,7 +15,7 @@ from erdos_rogers import (
 )
 from erdos_rogers.covers import _first_shared_pair
 from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text
-from oracles import first_loose_triangle, naive_loose_cycles
+from oracles import all_pairs_loose_cycles, first_loose_triangle, naive_loose_cycles
 
 # three 3-edges pairwise meeting in distinct single vertices: a loose triangle
 LOOSE_TRIANGLE = Hypergraph(9, [(0, 1, 2), (2, 3, 4), (0, 4, 5)], 3)
@@ -118,6 +118,10 @@ def test_triangle_reported_at_the_vertex_of_its_two_smallest_edges():
     assert audit.witness == first_loose_triangle(h)
 
 
+def _cycle_lists(cycles):
+    return [(c.edge_indices, c.vertices) for c in cycles]
+
+
 @pytest.mark.parametrize("length", [2, 3, 4])
 def test_loose_cycles_match_naive(length):
     h = Hypergraph(
@@ -127,8 +131,40 @@ def test_loose_cycles_match_naive(length):
     )
     cycles = find_loose_cycles(h, length)
     assert len(cycles) == naive_loose_cycles(h, length)
+    assert _cycle_lists(cycles) == _cycle_lists(all_pairs_loose_cycles(h, length))
     for cyc in cycles:
         assert len(cyc.edge_indices) == length
+
+
+def _random_loose_hypergraph(seed, uniform, linear):
+    """A seeded hypergraph on 6-15 vertices with up to 24 edges, all of 2
+    or all of 3 vertices, or of 1-4 vertices each when not uniform; with
+    linear set, an edge sharing two vertices with an earlier one is
+    dropped."""
+    rng = SeededRng(seed, f"loose-{uniform}-{linear}")
+    n = 6 + rng.randrange(10)
+    r = 2 + rng.randrange(2) if uniform else None
+    edges = []
+    for _ in range(4 + rng.randrange(21)):
+        e = tuple(sorted(rng.sample(range(n), r or 1 + rng.randrange(4))))
+        if e in edges or (linear and any(len(set(e) & set(f)) >= 2 for f in edges)):
+            continue
+        edges.append(e)
+    return Hypergraph(n, edges, r)
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("limit", [None, 1, 2, 5])
+def test_loose_cycles_match_all_pairs_reference(length, limit):
+    found = 0
+    for seed in range(40):
+        for uniform in (True, False):
+            for linear in (True, False):
+                h = _random_loose_hypergraph(seed, uniform, linear)
+                cycles = _cycle_lists(find_loose_cycles(h, length, limit))
+                assert cycles == _cycle_lists(all_pairs_loose_cycles(h, length, limit)), (seed, uniform, linear)
+                found += bool(cycles)
+    assert found >= 20
 
 
 def test_girth_audit():

@@ -32,13 +32,7 @@ from erdos_rogers import (
     theorem4_part1_build,
     theorem4_part2_build,
 )
-from erdos_rogers.graphs import (
-    Graph,
-    blowup_graph,
-    complete_multipartite,
-    induced_subgraph,
-    triangle_witness,
-)
+from erdos_rogers.graphs import Graph, induced_subgraph, triangle_witness
 from erdos_rogers.hypergraphs import find_loose_cycles, hypergraph_girth_at_least
 from erdos_rogers.pipelines import (
     canonical_form,
@@ -46,7 +40,7 @@ from erdos_rogers.pipelines import (
     sunflower_budget,
 )
 from erdos_rogers.subgraph import contains_subgraph
-from oracles import gnp_graph, perm_contains, unpruned_gfree_graph_reps
+from oracles import complete_multipartite, gnp_graph, perm_contains, unpruned_gfree_graph_reps
 
 SEEDS = [0, 1, 2, 3, 4]
 

@@ -18,7 +18,6 @@ from erdos_rogers import (
     path_graph,
     petersen_graph,
     spencer_independent_set,
-    sunflower_threshold,
 )
 from erdos_rogers.search import (
     count_edges_between,
@@ -320,19 +319,14 @@ def test_ckprop_requires_cycles():
 # sunflowers
 # ---------------------------------------------------------------------------
 
-def test_sunflower_threshold_values():
-    assert sunflower_threshold(3, 3) == 48
-    assert sunflower_threshold(2, 3) == 8
-    assert sunflower_threshold(1, 2) == 1
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sunflower_found_above_threshold(seed):
     rng = SeededRng(seed, "sun")
     t, m = 2, 3
     family = []
     seenset = set()
-    while len(family) < sunflower_threshold(t, m) + 1:
+    # more than t! (m - 1)^t sets of size t hold an m-petal sunflower
+    while len(family) < math.factorial(t) * (m - 1) ** t + 1:
         s = frozenset(rng.sample(range(12), t))
         if s not in seenset:
             seenset.add(s)
