@@ -53,8 +53,8 @@ from .hypergraphs import (
 from .pipelines import (
     brute_force_f,
     ckfree_subset,
+    clone_graph,
     gfree_graph_reps,
-    gplus_family,
     ksfree_recursion,
     ramsey_witness_check,
     random_girth_hypergraph,
@@ -93,6 +93,7 @@ __all__ = [
     "brute_force_f",
     "ckfree_subset",
     "ckprop_dense_pair",
+    "clone_graph",
     "complete_bipartite",
     "complete_graph",
     "contains_subgraph",
@@ -104,7 +105,6 @@ __all__ = [
     "erdos_rado_sunflower",
     "find_loose_cycles",
     "gfree_graph_reps",
-    "gplus_family",
     "graph_from_text",
     "graph_to_text",
     "greedy_independent_set",

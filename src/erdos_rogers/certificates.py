@@ -42,8 +42,8 @@ class Certificate:
             entry["witness"] = _jsonable(witness)
         self.predicates[key] = entry
 
-    def add_audit(self, audit, key=None):
-        self.add_predicate(key or audit.name, audit.passed, audit.witness)
+    def add_audit(self, audit):
+        self.add_predicate(audit.name, audit.passed, audit.witness)
 
     def add_measurement(self, key, value):
         self.measurements[key] = _jsonable(value)

@@ -1,5 +1,5 @@
 """End-to-end pipelines: triangle-free blowups of EFR line graphs, the
-C_k-free subset extractors, clone families, high-girth random hypergraphs
+C_k-free subset extractors, clone graphs, high-girth random hypergraphs
 with placed clone copies, witness certificates, and the exact small-n
 Erdős–Rogers oracle.
 
@@ -44,9 +44,6 @@ from .hypergraphs import (
 )
 from .search import (
     DEFAULT_SET_BUDGET,
-    count_edges_between,
-    ckprop_dense_pair,
-    dependent_random_choice,
     greedy_independent_set,
     list_k_cycles,
     max_f_free_subset,
@@ -160,23 +157,24 @@ def theorem1_build(d, r, R, pattern, rng, ffree_budget=None):
 CYCLE_LIST_CAP = 250_000
 
 
-def ckfree_subset(g, k, rng, budget=DEFAULT_SET_BUDGET, delta_cutoff=None):
+def ckfree_subset(g, k, rng, budget=DEFAULT_SET_BUDGET):
     """Large vertex subset of a K4-free graph inducing no k-cycle.
 
     Case split on the maximum degree d against n^(2/3 +- eps): low degree
     takes the greedy Turan set, high degree a star inside a max-degree
-    neighborhood, and the middle range plays the sample-and-delete bound on
-    the k-cycle hypergraph against the dense-pair + dependent-random-choice
-    route (only attempted while the measured cycle density stays above
-    n^(-1/25)).  Every candidate is checked exhaustively for induced
-    k-cycles; the largest checked candidate wins, and the greedy Turan
-    floor ceil(n/(d+1)) always holds.
+    neighborhood, and the middle range runs the sample-and-delete bound
+    (Spencer) on the k-cycle hypergraph.  Every candidate is checked
+    exhaustively for induced k-cycles; the largest checked candidate wins,
+    and the greedy Turan floor ceil(n/(d+1)) always holds.
 
-    delta_cutoff overrides the n^(-1/25) density floor for the dense-pair
-    route.  Since any graph has at most ~d^(k-1)/2 k-cycles through one
-    vertex, delta <= 1/2 < n^(-1/25) for every n below 2^25, so the default
-    rule disables that route on every desk-size input; passing 0.0 forces
-    it on for plumbing exercises."""
+    The middle range also records `cycle_density`: the vertex v0 on the
+    most k-cycles, their number, delta = that number / d^(k-1), and the
+    paper's cutoff n^(-1/25).  The paper takes its dense-pair and
+    dependent-random-choice step only when delta >= n^(-1/25), and that
+    never happens here: a vertex lies on at most d (d-1)^(k-2) / 2 <
+    d^(k-1) / 2 k-cycles, so delta < 1/2, while n^(-1/25) >= 1/2 for every
+    n <= 2^25, above the 10^7 vertices a graph file may declare.  Both
+    engines of that step remain as `search ckprop` and `search drc`."""
     if k < 3:
         raise InputError("k >= 3 required")
     _require_absent(g, complete_graph(4), "K4")
@@ -239,47 +237,10 @@ def ckfree_subset(g, k, rng, budget=DEFAULT_SET_BUDGET, delta_cutoff=None):
                 delta_max = max(per_vertex)
                 v0 = per_vertex.index(delta_max)
                 delta = delta_max / d ** (k - 1)
-                cutoff = n ** (-1.0 / 25.0) if delta_cutoff is None else delta_cutoff
+                cutoff = n ** (-1.0 / 25.0)
                 cert.add_measurement(
                     "cycle_density", {"v0": v0, "max_through": delta_max, "delta": delta, "cutoff": cutoff}
                 )
-                if delta >= cutoff and d >= 2 and delta_max > 0:
-                    dp = ckprop_dense_pair(g, v0, k)
-                    xm = dp.X.mask & ~dp.Y.mask
-                    ym = dp.Y.mask & ~dp.X.mask
-                    cert.add_measurement(
-                        "dense_pair",
-                        {
-                            "X": len(dp.X),
-                            "Y": len(dp.Y),
-                            "gamma": dp.gamma,
-                            "disjoint_X": xm.bit_count(),
-                            "disjoint_Y": ym.bit_count(),
-                        },
-                    )
-                    if xm and ym and count_edges_between(g, xm, ym) >= 1:
-                        drc = dependent_random_choice(g, xm, ym, 3, rng.substream("drc"))
-                        z = drc.vertex_set.mask
-                        edge = None
-                        for u in bits(z):
-                            inside = g.row(u) & z
-                            if inside:
-                                edge = (u, next(bits(inside)))
-                                break
-                        if edge is None:
-                            candidates["drc_independent"] = z
-                        else:
-                            x, y = edge
-                            w = g.row(x) & g.row(y)
-                            for u in bits(w):
-                                if g.row(u) & w:
-                                    raise SelfCheckError(
-                                        "common neighborhood of an edge is not independent; K4 missed"
-                                    )
-                            candidates["common_neighborhood"] = w
-                        cert.add_measurement(
-                            "drc", {"size": drc.size, "status": drc.status, "z_independent": edge is None}
-                        )
 
     best_label, best_mask = None, 0
     sizes = {}
@@ -369,43 +330,14 @@ def ksfree_recursion(g, s, k, rng, budget=DEFAULT_SET_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# clone families
+# clone graphs
 # ---------------------------------------------------------------------------
 
-class GPlusFamily:
-    """Base graph with a nonadjacent pair turned into clones.
+def clone_graph(g, v, w):
+    """The clone graph G* of the nonadjacent pair v, w of g.
 
-    gplus adds every edge between {v, w} and N(v) | N(w); gstar drops w;
-    gstarstar drops both, each relabeled densely in increasing order."""
-
-    __slots__ = ("base", "v", "w", "gplus", "gstar", "gstarstar")
-
-    def __init__(self, base, v, w, gplus, gstar, gstarstar):
-        self.base = base
-        self.v = v
-        self.w = w
-        self.gplus = gplus
-        self.gstar = gstar
-        self.gstarstar = gstarstar
-
-    def __repr__(self):
-        return f"GPlusFamily(v={self.v}, w={self.w}, gstar_n={self.gstar.n})"
-
-
-def lex_least_nonadjacent_pair(g):
-    for v in range(g.n):
-        for w in range(v + 1, g.n):
-            if not g.has_edge(v, w):
-                return v, w
-    return None
-
-
-def gplus_family(g, v=None, w=None):
-    if v is None or w is None:
-        pair = lex_least_nonadjacent_pair(g)
-        if pair is None:
-            raise InputError("graph has no nonadjacent pair")
-        v, w = pair
+    G+ adds every edge between {v, w} and N(v) | N(w), which makes v and w
+    clones; G* is G+ without w, relabeled densely in increasing order."""
     if v == w or not (0 <= v < g.n and 0 <= w < g.n):
         raise InputError("need two distinct vertices", witness={"v": v, "w": w})
     if g.has_edge(v, w):
@@ -424,11 +356,7 @@ def gplus_family(g, v=None, w=None):
         raise SelfCheckError("v and w are not clones off {v, w}")
     if gplus.has_edge(v, w):
         raise SelfCheckError("clone pair became adjacent")
-
-    full = gplus.full_mask()
-    gstar = induced_subgraph(gplus, full & ~(1 << w))
-    gstarstar = induced_subgraph(gplus, full & ~(1 << v) & ~(1 << w))
-    return GPlusFamily(g, v, w, gplus, gstar, gstarstar)
+    return induced_subgraph(gplus, gplus.full_mask() & ~(1 << w))
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +499,15 @@ def theorem4_part2_build(g, t, rng, try_all_pairs=False):
     best = None
     pair_edge_counts = {}
     for v, w in pairs:
-        fam = gplus_family(g, v, w)
+        gstar = clone_graph(g, v, w)
         stream = rng.substream(f"pair-{v}-{w}") if try_all_pairs else rng.substream("place")
-        union_edges, placements = _place_copies(hstar, fam.gstar, stream)
+        union_edges, placements = _place_copies(hstar, gstar, stream)
         built = Graph(t, union_edges)
         pair_edge_counts[f"{v},{w}"] = built.m
         if best is None or built.m > best[0].m:
-            best = (built, fam, placements, (v, w))
+            best = (built, gstar, placements, (v, w))
 
-    built, fam, placements, chosen = best
+    built, gstar, placements, chosen = best
     cert = Certificate("theorem4_part2_build")
     cert.set_param("t", t)
     cert.set_param("r", r)
@@ -589,7 +517,7 @@ def theorem4_part2_build(g, t, rng, try_all_pairs=False):
     cert.record_rng(rng)
     cert.add_measurement("girth_hypergraph", params.to_dict())
     cert.add_measurement("placements", [list(p) for p in placements])
-    cert.add_measurement("gstar_edges", [list(e) for e in fam.gstar.edges()])
+    cert.add_measurement("gstar_edges", [list(e) for e in gstar.edges()])
     cert.add_measurement("edges", built.m)
     if try_all_pairs:
         cert.add_measurement("pair_edge_counts", pair_edge_counts)

@@ -220,7 +220,7 @@ def _ffree_branch(g, pattern, best, budget):
 # cycle counting
 # ---------------------------------------------------------------------------
 
-def _check_cycle_args(g, k):
+def _check_cycle_args(k):
     if not (3 <= k <= 12):
         raise InputError("cycle length must lie in 3..12")
 
@@ -232,7 +232,7 @@ def list_k_cycles(g, k, through=None, cap=None):
     all cycles, each rooted at its minimum vertex.  With cap set, stops
     after cap cycles and reports truncation.
     Returns (cycles, truncated)."""
-    _check_cycle_args(g, k)
+    _check_cycle_args(k)
     rows = g.rows()
     out = []
     roots = [through] if through is not None else range(g.n)
@@ -375,8 +375,13 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
     most bad pairs (pairs with fewer than gamma |X| |Y|^(-1/s) common
     neighbors in X).  The pair condition of the surviving set is verified
     exhaustively before returning: aiming for |Z| >= gamma^s |Y| / 2, and
-    reporting "target-missed" if no retry reached it."""
+    reporting "target-missed" if no retry reached it.  A vertex of X or Y
+    outside range(n) is refused, naming the least such vertex."""
     xm, ym = as_mask(xs), as_mask(ys)
+    for outside in (xm >> g.n, ym >> g.n):
+        if outside:
+            vertex = g.n + (outside & -outside).bit_length() - 1
+            raise InputError("vertex out of range", witness={"vertex": vertex, "n": g.n})
     if xm & ym:
         raise InputError("X and Y must be disjoint", witness={"shared": next(bits(xm & ym))})
     if s < 1:
@@ -464,7 +469,8 @@ class DensePair:
 
 
 def ckprop_dense_pair(g, v0, k):
-    """Extract a dense pair (X, Y) from the k-cycles through v0.
+    """Extract a dense pair (X, Y) from the k-cycles through v0, a vertex
+    of g (one outside range(n) is refused).
 
     Cycles are canonically ordered (v0, s1, ..., s_{k-1}) with s1 < s_{k-1}.
     The i-th trace sets X_i = {s_i}.  For i = 2..k-2 the vertices of X_i are
@@ -479,7 +485,9 @@ def ckprop_dense_pair(g, v0, k):
     pass/fail flags (both published forms of the density bound), never
     assumed; downstream users take the measured gamma.
     """
-    _check_cycle_args(g, k)
+    _check_cycle_args(k)
+    if not 0 <= v0 < g.n:
+        raise InputError("root vertex out of range", witness={"v0": v0, "n": g.n})
     rows = g.rows()
     d = g.max_degree()
     if d < 2:

@@ -292,6 +292,37 @@ def test_theorem4_part1_degree_above_n_exit_3(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.fixture
+def petersen_file(tmp_path):
+    path = str(tmp_path / "petersen.g")
+    write_graph(path, named_graph("petersen"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "x,y,vertex", [("0-4", "5-9,30", 30), ("0-4,12", "5-9", 12), ("0-4,14,11", "5-9", 11)]
+)
+def test_search_drc_vertex_out_of_range_exit_3(petersen_file, capsys, x, y, vertex):
+    argv = ["search", "drc", "--in", petersen_file, "--x", x, "--y", y, "--s", "2", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "vertex out of range", "witness": {"vertex": vertex, "n": 10}}
+
+
+def test_search_drc_in_range_gamma(petersen_file, capsys):
+    argv = ["search", "drc", "--in", petersen_file, "--x", "0-4", "--y", "5-9", "--s", "2", "--seed", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert " gamma=0.2000 " in out
+
+
+@pytest.mark.parametrize("v0", [99, 10, -1])
+def test_search_ckprop_root_out_of_range_exit_3(petersen_file, capsys, v0):
+    code, out, err = run(["search", "ckprop", "--in", petersen_file, "--v0", str(v0), "--k", "5"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "root vertex out of range", "witness": {"v0": v0, "n": 10}}
+
+
 def test_pipeline_ckfree_precondition_exit_3(tmp_path, capsys):
     k5 = str(tmp_path / "k5.g")
     write_graph(k5, named_graph("k5"))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -13,13 +14,13 @@ from erdos_rogers import (
     SeededRng,
     brute_force_f,
     ckfree_subset,
+    clone_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     efr_hypergraph,
     gfree_graph_reps,
     graph_to_text,
-    gplus_family,
     ksfree_recursion,
     line_intersection_graph,
     list_k_cycles,
@@ -34,11 +35,7 @@ from erdos_rogers import (
 )
 from erdos_rogers.graphs import Graph, induced_subgraph, triangle_witness
 from erdos_rogers.hypergraphs import find_loose_cycles, hypergraph_girth_at_least
-from erdos_rogers.pipelines import (
-    canonical_form,
-    lex_least_nonadjacent_pair,
-    sunflower_budget,
-)
+from erdos_rogers.pipelines import canonical_form, sunflower_budget
 from erdos_rogers.subgraph import contains_subgraph
 from oracles import complete_multipartite, gnp_graph, perm_contains, unpruned_gfree_graph_reps
 
@@ -213,15 +210,26 @@ def test_ckfree_middle_branch_spencer_route():
     assert cert.measurements["degree_case"] == "middle"
     assert "cycle_spencer" in cert.measurements["candidate_sizes"]
     check_no_k_cycle(g, vs.members(), 4)
-    # verbatim density cutoff keeps the dense-pair route dormant here
-    assert cert.measurements["cycle_density"]["delta"] < cert.measurements["cycle_density"]["cutoff"]
+    # the paper's dense-pair step needs delta >= cutoff = n^(-1/25) >= 1/2
+    density = cert.measurements["cycle_density"]
+    assert density["delta"] < 0.5 <= density["cutoff"]
 
 
-def test_ckfree_forced_drc_route():
-    g = bipartite_circulant(32, 16)
-    vs, cert = ckfree_subset(g, 4, SeededRng(0, "ck"), delta_cutoff=0.0)
-    assert "drc_independent" in cert.measurements["candidate_sizes"]
-    check_no_k_cycle(g, vs.members(), 4)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_k_cycles_through_a_vertex_bound(k, seed):
+    # the bound behind delta < 1/2: after v and a neighbour (d ways) each
+    # later step has d - 1 ways, and each cycle is walked in two directions;
+    # triangles in a clique (seed 0) attain it
+    g = complete_graph(7) if seed == 0 else gnp_graph(14, 0.45, SeededRng(seed, "cyc"))
+    d = g.max_degree()
+    cycles, truncated = list_k_cycles(g, k)
+    assert cycles and not truncated
+    per_vertex = [0] * g.n
+    for c in cycles:
+        for u in c:
+            per_vertex[u] += 1
+    assert 2 * max(per_vertex) <= d * (d - 1) ** (k - 2)
 
 
 def test_ckfree_no_cycles_shortcut():
@@ -236,6 +244,51 @@ def test_ckfree_turan_floor_respected():
     vs, cert = ckfree_subset(g, 5, SeededRng(5, "ck"))
     davg = 2 * g.m / g.n
     assert len(vs) >= math.ceil(g.n / (davg + 1))
+
+
+# sha256 of the chosen set (JSON list of its members) and of the
+# certificate bytes, for the branches the benchmark's low-degree ckfree
+# jobs never take and for one K_s-free recursion
+CKFREE_SHA256 = {
+    "middle": (
+        "02631793446ba2fdec361263e03697504cacc7f408974ff620ae7843df37b843",
+        "e78531cb13d774c1cad26d3629025376da169b9d013cb49c9c7107412cb9d827",
+    ),
+    "neighborhood": (
+        "337a9f90641751195e850c8c9f0f7d7bc17c6e46b8c20e20b692dbe043e61d77",
+        "3bdeb7fde4f0041c25e44c9d30bc97b25b52f1d1d964389f22d46e6376857055",
+    ),
+    "no-k-cycles": (
+        "809d533fc370950a0e8c21b32c9e303611bc2ea742fe8532180a1ce64075835f",
+        "165d10f78de674432c28a00a8036486d54c42307adb7480e0fb97a1ccdc4de78",
+    ),
+    "edgeless": (
+        "b0229c06acf4d5c98db175d4d054cd39e7fff51d8c37754b4a4b424f7967710d",
+        "cf8b3f20b79411083be2031dc42efada66696bec58418ee716ca05f3a5d8df87",
+    ),
+    "ksfree-recursion": (
+        "aa246b9ef9eafbe73c80d3dc027bcf3a26e2a3777aa0b38f02c9a1c9cc792a3f",
+        "ff503acb884a4abd0f21a105f90e691e749c4db9412dbfc172538486f2e3882f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CKFREE_SHA256))
+def test_ckfree_bytes_pinned(case):
+    if case == "ksfree-recursion":
+        vs, cert = ksfree_recursion(complete_multipartite([5, 5, 5, 5]), 5, 3, SeededRng(0, "ks"))
+    else:
+        g = {
+            "middle": lambda: bipartite_circulant(32, 16),
+            "neighborhood": lambda: complete_bipartite(20, 20),
+            "no-k-cycles": lambda: path_graph(8),
+            "edgeless": lambda: Graph(6),
+        }[case]()
+        vs, cert = ckfree_subset(g, 4, SeededRng(1 if case == "neighborhood" else 0, "ck"))
+        assert cert.measurements["degree_case"] == case
+    set_sha, cert_sha = CKFREE_SHA256[case]
+    assert hashlib.sha256(json.dumps(sorted(vs.members())).encode()).hexdigest() == set_sha
+    assert hashlib.sha256(cert.to_json_bytes()).hexdigest() == cert_sha
 
 
 # ---------------------------------------------------------------------------
@@ -269,32 +322,24 @@ def test_ksfree_requires_s_at_least_4():
 
 
 # ---------------------------------------------------------------------------
-# G-plus families
+# clone graphs
 # ---------------------------------------------------------------------------
 
 def test_gplus_on_c5_frozen():
-    fam = gplus_family(cycle_graph(5))
-    assert (fam.v, fam.w) == (0, 2)
-    added = set(fam.gplus.edges()) - set(cycle_graph(5).edges())
-    assert added == {(0, 3), (2, 4)}
-    assert fam.gstar.m == 4
-    assert fam.gstarstar.m == 1
+    # G+ adds 03 and 24; dropping 2 relabels 3, 4 as 2, 3
+    assert clone_graph(cycle_graph(5), 0, 2).edges() == [(0, 1), (0, 2), (0, 3), (2, 3)]
 
 
 def test_gplus_on_p4():
-    fam = gplus_family(path_graph(4))
-    assert (fam.v, fam.w) == (0, 2)
-    assert fam.gplus.m > path_graph(4).m
+    # G+ adds 03; dropping 2 relabels 3 as 2
+    assert clone_graph(path_graph(4), 0, 2).edges() == [(0, 1), (0, 2)]
 
 
 def test_gplus_rejects_clique():
-    with pytest.raises(InputError):
-        gplus_family(complete_graph(4))
-
-
-def test_lex_least_pair():
-    assert lex_least_nonadjacent_pair(cycle_graph(5)) == (0, 2)
-    assert lex_least_nonadjacent_pair(path_graph(3)) == (0, 2)
+    # a clique has no nonadjacent pair; nor may v = w or a vertex be missing
+    for v, w in [(0, 1), (1, 3), (2, 2), (0, 4), (-1, 2)]:
+        with pytest.raises(InputError):
+            clone_graph(complete_graph(4), v, w)
 
 
 # ---------------------------------------------------------------------------
