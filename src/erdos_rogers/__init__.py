@@ -13,11 +13,10 @@ from .blowup import (
     square_clique_cover,
     theorem1_failure_bound,
 )
-from .certificates import Certificate, make_manifest, read_manifest, write_manifest
+from .certificates import Certificate, make_manifest, write_manifest
 from .covers import Audit, CliqueCover
 from .efr import (
     EFRInstance,
-    SpherePointSet,
     density_floor,
     efr_certificate,
     efr_hypergraph,
@@ -88,7 +87,6 @@ __all__ = [
     "InputError",
     "SeededRng",
     "SelfCheckError",
-    "SpherePointSet",
     "VertexSet",
     "brute_force_f",
     "ckfree_subset",
@@ -128,7 +126,6 @@ __all__ = [
     "random_girth_hypergraph",
     "read_graph",
     "read_hypergraph",
-    "read_manifest",
     "spencer_independent_set",
     "sphere_points",
     "square_clique_cover",

@@ -42,14 +42,8 @@ class Certificate:
             entry["witness"] = _jsonable(witness)
         self.predicates[key] = entry
 
-    def add_audit(self, audit):
-        self.add_predicate(audit.name, audit.passed, audit.witness)
-
     def add_measurement(self, key, value):
         self.measurements[key] = _jsonable(value)
-
-    def set_seed(self, key, value):
-        self.seeds[key] = _jsonable(value)
 
     def record_rng(self, rng):
         self.seeds["seed"] = rng.seed
@@ -103,8 +97,3 @@ def write_manifest(path, manifest):
     with open(path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_manifest(path):
-    with open(path) as fh:
-        return json.load(fh)

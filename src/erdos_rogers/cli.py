@@ -115,6 +115,14 @@ def _seed_of(args):
     return 0 if args.seed is None else args.seed
 
 
+def _budget_ms(text):
+    """The type of every --budget-ms flag: finite milliseconds above 0."""
+    ms = float(text)
+    if not 0 < ms < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected finite milliseconds > 0, got {text!r}")
+    return ms
+
+
 def _budget_of(args, engine):
     """Node budget of --budget-ms for the engine the command drives."""
     ms = getattr(args, "budget_ms", None)
@@ -190,7 +198,7 @@ def cmd_construct_girth_hypergraph(args):
     cert.set_param("t", args.t)
     cert.set_param("r", args.r)
     cert.record_rng(rng)
-    cert.add_measurement("params", params.to_dict())
+    cert.add_measurement("params", vars(params))
     # random_girth_hypergraph raises SelfCheckError on an hstar failing this audit
     cert.add_predicate("girth", True)
     summary = f"edges={hstar.m} girth_audit=pass"
@@ -512,18 +520,18 @@ def build_parser():
     p = verify.add_parser("subgraph-free")
     p.add_argument("file")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_budget_ms, default=None)
     p.set_defaults(func=cmd_verify_subgraph_free)
 
     search = sub.add_parser("search").add_subparsers(dest="what", required=True)
     p = search.add_parser("independent-set")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_budget_ms, default=None)
     p.set_defaults(func=cmd_search_independent_set)
     p = search.add_parser("max-ffree")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_budget_ms, default=None)
     p.set_defaults(func=cmd_search_max_ffree)
     p = search.add_parser("spencer")
     p.add_argument("--in", dest="infile", required=True)
@@ -553,7 +561,7 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_budget_ms, default=None)
     p.add_argument("--cert", default=None)
     p.set_defaults(func=cmd_pipeline_ckfree)
     p = pipeline.add_parser("ksfree")
@@ -561,7 +569,7 @@ def build_parser():
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_budget_ms, default=None)
     p.add_argument("--cert", default=None)
     p.set_defaults(func=cmd_pipeline_ksfree)
     p = pipeline.add_parser("ramsey-witness")

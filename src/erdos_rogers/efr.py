@@ -20,28 +20,9 @@ from .errors import InputError
 from .hypergraphs import Hypergraph, hypergraph_is_triangle_free
 
 
-class SpherePointSet:
-    __slots__ = ("d", "r", "points")
-
-    def __init__(self, d, r, points):
-        self.d = d
-        self.r = r
-        self.points = tuple(points)
-
-    @property
-    def count(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __repr__(self):
-        return f"SpherePointSet(d={self.d}, r={self.r}, count={self.count})"
-
-
 def sphere_points(d, r):
-    """All x in Z^d with every coordinate >= 1 and sum x_i^2 = r^2,
-    enumerated in increasing lexicographic order."""
+    """The tuple of all x in Z^d with every coordinate >= 1 and
+    sum x_i^2 = r^2, in increasing lexicographic order."""
     if d < 1 or r < 1:
         raise InputError("sphere_points requires d >= 1 and r >= 1")
     target = r * r
@@ -64,7 +45,7 @@ def sphere_points(d, r):
             x += 1
 
     rec(0, target)
-    return SpherePointSet(d, r, points)
+    return tuple(points)
 
 
 class EFRInstance:
@@ -88,14 +69,6 @@ class EFRInstance:
         self.part_offsets = tuple(part_offsets)
         self.declared_n = sum(part_sizes)
 
-    def vertex_id(self, part, point):
-        """part is 1-based; point has coordinates in [part * r]."""
-        side = part * self.r
-        idx = 0
-        for c in point:
-            idx = idx * side + (c - 1)
-        return self.part_offsets[part - 1] + idx
-
     def __repr__(self):
         return f"EFRInstance(d={self.d}, r={self.r}, R={self.R}, m={self.hypergraph.m})"
 
@@ -111,7 +84,7 @@ def efr_hypergraph(d, r, R):
     if r < 1 or R < 2:
         raise InputError("need r >= 1 and R >= 2")
     sphere = sphere_points(d, r)
-    if sphere.count == 0:
+    if not sphere:
         raise InputError(
             "empty direction set: no positive lattice points on the sphere",
             witness={"d": d, "r": r},
@@ -121,7 +94,7 @@ def efr_hypergraph(d, r, R):
     for s in part_sizes[:-1]:
         part_offsets.append(part_offsets[-1] + s)
     inst = EFRInstance(d, r, R, None, sphere, part_sizes, part_offsets)
-    # vertex_id is linear in the point, so id(part i+1, x + i*a) splits as
+    # a vertex id is linear in its point, so id(part i+1, x + i*a) splits as
     # start[i][x] + step[i][a]: the lattice index of x - 1 in part i+1 plus
     # i times the index weight of a
     corners = list(product(range(r), repeat=d))
@@ -159,7 +132,7 @@ def efr_certificate(inst):
 
     cert.add_measurement("edge_count", h.m)
     cert.add_measurement("declared_n", inst.declared_n)
-    cert.add_measurement("direction_count", inst.sphere.count)
+    cert.add_measurement("direction_count", len(inst.sphere))
 
     floor = density_floor(inst.declared_n, inst.R)
     cert.add_measurement("density_floor", floor)
@@ -180,9 +153,9 @@ def efr_certificate(inst):
         cert.add_predicate("triangle_free", False, {"skipped": "input not linear"})
     else:
         cert.add_predicate("linear", True)
-        cert.add_audit(triangle_free)
+        cert.add_predicate(triangle_free.name, triangle_free.passed, triangle_free.witness)
 
-    expected_m = inst.sphere.count * inst.r**inst.d
+    expected_m = len(inst.sphere) * inst.r**inst.d
     cert.add_predicate(
         "edge_count_identity",
         h.m == expected_m,

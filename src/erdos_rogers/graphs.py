@@ -43,10 +43,6 @@ class VertexSet:
     def __init__(self, mask=0):
         self.mask = int(mask)
 
-    @classmethod
-    def from_iterable(cls, vertices):
-        return cls(mask_of(vertices))
-
     def members(self):
         return tuple(bits(self.mask))
 
@@ -148,9 +144,6 @@ class Graph:
 
     def degree(self, v):
         return (self._rows or self.rows())[v].bit_count()
-
-    def degrees(self):
-        return list(map(int.bit_count, self.rows()))
 
     def max_degree(self):
         return max(map(int.bit_count, self.rows()), default=0)
@@ -278,19 +271,17 @@ def named_graph(name):
 # random models (all deterministic given a SeededRng)
 # ---------------------------------------------------------------------------
 
-def random_regular_bipartite(a, b, d, rng):
-    """Configuration-model d-regular bipartite graph on a+b vertices.
+def random_regular_bipartite(n, d, rng):
+    """Configuration-model d-regular bipartite graph on n+n vertices.
 
     Left stubs are matched to a shuffled list of right stubs; parallel edges
     are collapsed, so the result is simple and near-d-regular (degrees can
     fall below d where collisions occurred).
     """
-    if a * d != b * d and a != b:
-        raise InputError("stub counts must balance; use a == b")
-    left_stubs = [v for v in range(a) for _ in range(d)]
-    right_stubs = [a + v for v in range(b) for _ in range(d)]
+    left_stubs = [v for v in range(n) for _ in range(d)]
+    right_stubs = [n + v for v in range(n) for _ in range(d)]
     rng.shuffle(right_stubs)
-    return Graph(a + b, zip(left_stubs, right_stubs))
+    return Graph(n + n, zip(left_stubs, right_stubs))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ byte of the output.
 
 import math
 from itertools import combinations, islice
+from types import SimpleNamespace
 
 from .blowup import (
     is_hom_free,
@@ -363,40 +364,12 @@ def clone_graph(g, v, w):
 # high-girth random hypergraphs
 # ---------------------------------------------------------------------------
 
-class GirthHypergraphParams:
-    __slots__ = ("t", "r", "p", "delta", "initial_edges", "final_edges", "pruning_log", "seed_record")
-
-    def __init__(self, t, r, p, delta, initial_edges, final_edges, pruning_log, seed_record):
-        self.t = t
-        self.r = r
-        self.p = p
-        self.delta = delta
-        self.initial_edges = initial_edges
-        self.final_edges = final_edges
-        self.pruning_log = pruning_log
-        self.seed_record = seed_record
-
-    def to_dict(self):
-        return {
-            "t": self.t,
-            "r": self.r,
-            "p": self.p,
-            "delta": self.delta,
-            "initial_edges": self.initial_edges,
-            "final_edges": self.final_edges,
-            "pruning_log": self.pruning_log,
-            "seed_record": dict(self.seed_record),
-        }
-
-    def __repr__(self):
-        return f"GirthHypergraphParams(t={self.t}, r={self.r}, edges={self.final_edges})"
-
-
 def random_girth_hypergraph(t, r, rng):
     """Binomial r-uniform hypergraph at p = t^(1-r+1/(2r)), then for each
     length 2..r+1 a greedy maximal edge-disjoint family of loose cycles of
     the *sampled* hypergraph is removed wholesale.  Maximality makes the
-    survivor girth at least r+2, which is re-audited.
+    survivor girth at least r+2, which is re-audited.  Returns (hstar, a
+    namespace of the sampling and pruning record).
 
     The sample takes one random() draw of the "edges" substream per
     r-subset, in `combinations(range(t), r)` order, and keeps the subset
@@ -445,9 +418,8 @@ def random_girth_hypergraph(t, r, rng):
     if not audit.passed:
         raise SelfCheckError(f"girth audit failed after pruning: {audit.witness}")
 
-    params = GirthHypergraphParams(
-        t, r, p, 1.0 / (5.0 * r * r), h0.m, hstar.m, pruning_log, rng.state()
-    )
+    params = SimpleNamespace(t=t, r=r, p=p, delta=1.0 / (5.0 * r * r), initial_edges=h0.m,
+                             final_edges=hstar.m, pruning_log=pruning_log, seed_record=rng.state())
     return hstar, params
 
 
@@ -515,7 +487,7 @@ def theorem4_part2_build(g, t, rng, try_all_pairs=False):
     cert.set_param("pair", list(chosen))
     cert.set_param("try_all_pairs", try_all_pairs)
     cert.record_rng(rng)
-    cert.add_measurement("girth_hypergraph", params.to_dict())
+    cert.add_measurement("girth_hypergraph", vars(params))
     cert.add_measurement("placements", [list(p) for p in placements])
     cert.add_measurement("gstar_edges", [list(e) for e in gstar.edges()])
     cert.add_measurement("edges", built.m)
@@ -571,7 +543,7 @@ def theorem4_part1_build(g, pattern, n, d, girth_target, rng):
             witness={"girth_target": girth_target, "required": 2 * g.n},
         )
 
-    bip = random_regular_bipartite(n, n, d, rng.substream("bipartite"))
+    bip = random_regular_bipartite(n, d, rng.substream("bipartite"))
     bip, deletions = prune_short_cycles(bip, girth_target)
 
     min_deg = min(bip.degree(v) for v in range(bip.n))
@@ -710,12 +682,11 @@ def canonical_form(g):
 
 
 class BruteForceResult:
-    __slots__ = ("value", "exact", "graphs_seen", "level_counts", "witness_edges")
+    __slots__ = ("value", "exact", "level_counts", "witness_edges")
 
-    def __init__(self, value, exact, graphs_seen, level_counts, witness_edges):
+    def __init__(self, value, exact, level_counts, witness_edges):
         self.value = value
         self.exact = exact
-        self.graphs_seen = graphs_seen
         self.level_counts = level_counts
         self.witness_edges = witness_edges
 
@@ -827,7 +798,7 @@ def brute_force_f(f_pattern, g_pattern, n, budget=None):
         raise InputError("n <= 9 only; enumeration is exact desk scale")
     reps, exact, counts = gfree_graph_reps(g_pattern, n, budget=budget)
     if len(counts) < n:
-        return BruteForceResult(None, False, len(reps), counts, [])
+        return BruteForceResult(None, False, counts, [])
     best = None
     witness = None
     for h in reps:
@@ -836,6 +807,4 @@ def brute_force_f(f_pattern, g_pattern, n, budget=None):
             raise SelfCheckError("subset search ran out of budget on a graph of at most 9 vertices")
         if best is None or res.size < best:
             best, witness = res.size, h
-    return BruteForceResult(
-        best, exact, len(reps), counts, witness.edges() if witness is not None else []
-    )
+    return BruteForceResult(best, exact, counts, witness.edges() if witness is not None else [])

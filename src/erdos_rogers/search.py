@@ -278,14 +278,13 @@ def hypergraph_independence_violation(h, mask):
 
 
 class SpencerResult:
-    __slots__ = ("vertex_set", "expectation_bound", "trial_sizes", "best_trial", "p")
+    __slots__ = ("vertex_set", "expectation_bound", "trial_sizes", "best_trial")
 
-    def __init__(self, vertex_set, expectation_bound, trial_sizes, best_trial, p):
+    def __init__(self, vertex_set, expectation_bound, trial_sizes, best_trial):
         self.vertex_set = vertex_set
         self.expectation_bound = expectation_bound
         self.trial_sizes = trial_sizes
         self.best_trial = best_trial
-        self.p = p
 
     @property
     def size(self):
@@ -297,18 +296,20 @@ class SpencerResult:
 
 def spencer_independent_set(h, rng, trials=50):
     """Sample each vertex with probability p = min(1, (n/(k|E|))^(1/(k-1))),
-    then delete one vertex from every surviving edge; best of `trials`.
+    then delete one vertex from every surviving edge; best of `trials` >= 1.
 
     The expected size is at least (1 - 1/k) n / d^(1/(k-1)) with d = k|E|/n.
     The returned set is re-validated as independent."""
     if h.r is None or h.r < 2:
         raise InputError("a uniform hypergraph with r >= 2 is required")
+    if trials < 1:
+        raise InputError("trials >= 1 required", witness={"trials": trials})
     k, n, m = h.r, h.n, h.m
     if n == 0:
-        return SpencerResult(VertexSet(0), 0.0, [], None, 0.0)
+        return SpencerResult(VertexSet(0), 0.0, [], None)
     if m == 0:
         full = (1 << n) - 1
-        return SpencerResult(VertexSet(full), float(n), [n], 0, 1.0)
+        return SpencerResult(VertexSet(full), float(n), [n], 0)
     d = k * m / n
     p = min(1.0, (n / (k * m)) ** (1.0 / (k - 1)))
     bound = (1.0 - 1.0 / k) * n / d ** (1.0 / (k - 1))
@@ -332,7 +333,7 @@ def spencer_independent_set(h, rng, trials=50):
     viol = hypergraph_independence_violation(h, best_mask)
     if viol is not None:
         raise SelfCheckError(f"sample-and-delete left edge {viol} uncovered")
-    return SpencerResult(VertexSet(best_mask), bound, sizes, best_trial, p)
+    return SpencerResult(VertexSet(best_mask), bound, sizes, best_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +349,15 @@ def count_edges_between(g, xs, ys):
 
 
 class DrcResult:
-    __slots__ = ("vertex_set", "status", "gamma", "threshold", "target", "retries_used", "seed_record")
+    __slots__ = ("vertex_set", "status", "gamma", "threshold", "target", "retries_used")
 
-    def __init__(self, vertex_set, status, gamma, threshold, target, retries_used, seed_record):
+    def __init__(self, vertex_set, status, gamma, threshold, target, retries_used):
         self.vertex_set = vertex_set
         self.status = status  # "ok" | "target-missed"
         self.gamma = gamma
         self.threshold = threshold
         self.target = target
         self.retries_used = retries_used
-        self.seed_record = seed_record
 
     @property
     def size(self):
@@ -386,6 +386,8 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
         raise InputError("X and Y must be disjoint", witness={"shared": next(bits(xm & ym))})
     if s < 1:
         raise InputError("s >= 1 required")
+    if retries < 1:
+        raise InputError("retries >= 1 required", witness={"retries": retries})
     rows = g.rows()
     x_list = list(bits(xm))
     y_list = list(bits(ym))
@@ -414,7 +416,6 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
             wmask &= ~(1 << worst)
 
     best_mask = 0
-    used = 0
     for attempt in range(retries):
         used = attempt + 1
         stream = rng.substream(f"try-{attempt}")
@@ -438,7 +439,7 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
                     f"pair ({zl[a]}, {zl[b]}) has {codeg} common neighbors < {threshold}"
                 )
     status = "ok" if best_mask.bit_count() >= target else "target-missed"
-    return DrcResult(VertexSet(best_mask), status, gamma, threshold, target, used, rng.state())
+    return DrcResult(VertexSet(best_mask), status, gamma, threshold, target, used)
 
 
 # ---------------------------------------------------------------------------

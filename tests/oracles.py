@@ -75,6 +75,17 @@ def sphere_count(d, r):
     return int(acc[target])
 
 
+def efr_vertex_id(inst, part, point):
+    """The id of an EFR lattice point, the labelling its certificate
+    states: part is 1-based, point has coordinates in [part * r], and part
+    i lists its points lexicographically from part_offsets[i - 1]."""
+    side = part * inst.r
+    idx = 0
+    for c in point:
+        idx = idx * side + (c - 1)
+    return inst.part_offsets[part - 1] + idx
+
+
 def hom_exists(pattern, source):
     """Any map V(source) -> V(pattern) carrying edges to edges."""
     for phi in itertools.product(range(pattern.n), repeat=source.n):

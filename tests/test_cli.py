@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from erdos_rogers import read_graph, read_manifest, write_graph, named_graph
+from erdos_rogers import read_graph, write_graph, named_graph
 from erdos_rogers.cli import main
 from oracles import disjoint_cycles
 
@@ -149,7 +150,7 @@ def test_construct_writes_artifacts_and_replays(tmp_path, capsys):
 
     graph_bytes = open(out, "rb").read()
     cert_bytes = open(cert_path, "rb").read()
-    manifest = read_manifest(manifest_path)
+    manifest = json.loads(Path(manifest_path).read_text())
     assert manifest["params"]["argv"] == argv
     assert manifest["seed"] == 11
 
@@ -185,7 +186,7 @@ def test_replay_detects_changed_output(tmp_path, capsys):
     assert main(["construct", "theorem1", "--d", "2", "--r", "5", "--R", "3",
                  "--f", "c5", "--seed", "4", "--out", out]) == 0
     manifest_path = out + ".manifest.json"
-    manifest = read_manifest(manifest_path)
+    manifest = json.loads(Path(manifest_path).read_text())
     assert sorted(manifest["output_sha256"]) == sorted([out, out + ".cert.json"])
     manifest["output_sha256"][out + ".cert.json"] = "0" * 64
     with open(manifest_path, "w") as fh:
@@ -196,7 +197,7 @@ def test_replay_detects_changed_output(tmp_path, capsys):
     assert stdout.splitlines()[-2] == f"fail: replay differs at {out}.cert.json"
     assert "replayed:" not in stdout
     # the record under check survives the rerun, so the mismatch persists
-    assert read_manifest(manifest_path) == manifest
+    assert json.loads(Path(manifest_path).read_text()) == manifest
 
 
 def test_replay_refuses_self_reference_and_missing_hashes(tmp_path, capsys):
@@ -321,6 +322,40 @@ def test_search_ckprop_root_out_of_range_exit_3(petersen_file, capsys, v0):
     code, out, err = run(["search", "ckprop", "--in", petersen_file, "--v0", str(v0), "--k", "5"], capsys)
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "root vertex out of range", "witness": {"v0": v0, "n": 10}}
+
+
+def test_search_drc_no_retries_exit_3(petersen_file, capsys):
+    argv = ["search", "drc", "--in", petersen_file, "--x", "0-4", "--y", "5-9", "--s", "2", "--retries", "0"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "retries >= 1 required", "witness": {"retries": 0}}
+
+
+def test_search_spencer_no_trials_exit_3(tmp_path, capsys):
+    efr = str(tmp_path / "efr.hg")
+    assert main(["construct", "efr", "--d", "2", "--r", "5", "--R", "3", "--out", efr]) == 0
+    capsys.readouterr()
+    code, out, err = run(["search", "spencer", "--in", efr, "--trials", "0"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "trials >= 1 required", "witness": {"trials": 0}}
+
+
+BUDGET_MS_COMMANDS = [
+    ["verify", "subgraph-free", "{g}", "--pattern", "c5"],
+    ["search", "independent-set", "--in", "{g}"],
+    ["search", "max-ffree", "--in", "{g}", "--f", "c5"],
+    ["pipeline", "ckfree", "--in", "{g}", "--k", "5"],
+    ["pipeline", "ksfree", "--in", "{g}", "--s", "4", "--k", "5"],
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+@pytest.mark.parametrize("command", BUDGET_MS_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_budget_ms_outside_domain_exit_2(petersen_file, capsys, command, value):
+    argv = [petersen_file if a == "{g}" else a for a in command] + ["--budget-ms", value]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "argument --budget-ms" in err and "Traceback" not in err
 
 
 def test_pipeline_ckfree_precondition_exit_3(tmp_path, capsys):

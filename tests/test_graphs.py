@@ -31,6 +31,7 @@ from erdos_rogers.graphs import (
     induced_subgraph_with_map,
     is_biconnected,
     is_clique,
+    mask_of,
     prune_short_cycles,
     random_regular_bipartite,
     triangle_witness,
@@ -54,7 +55,7 @@ def check_graph_invariants(g):
         assert u < v
         assert g.has_edge(u, v) and g.has_edge(v, u)
         assert not g.has_edge(u, u)
-    assert sum(g.degrees()) == 2 * g.m
+    assert sum(map(g.degree, range(g.n))) == 2 * g.m
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
@@ -189,8 +190,8 @@ def _short_cycle_hosts():
     for seed in SEEDS:
         for n, p in [(8, 0.4), (14, 0.2), (24, 0.1), (30, 0.3)]:
             yield gnp_graph(n, p, SeededRng(seed, "short-cycle"))
-        yield random_regular_bipartite(10, 10, 3, SeededRng(seed, "short-cycle"))
-        yield random_regular_bipartite(16, 16, 4, SeededRng(seed, "short-cycle"))
+        yield random_regular_bipartite(10, 3, SeededRng(seed, "short-cycle"))
+        yield random_regular_bipartite(16, 4, SeededRng(seed, "short-cycle"))
     # forests, disconnected graphs and the empty graph
     yield Graph(0)
     yield Graph(5)
@@ -214,7 +215,7 @@ def test_find_short_cycle_matches_all_roots_reference():
 @pytest.mark.parametrize("n,d,girth", [(48, 5, 10), (60, 5, 8)])
 def test_find_short_cycle_matches_reference_through_pruning(n, d, girth):
     """Every intermediate graph of theorem4_part1_build's pruning loop."""
-    bip = random_regular_bipartite(n, n, d, SeededRng(1, "theorem4-part1").substream("bipartite"))
+    bip = random_regular_bipartite(n, d, SeededRng(1, "theorem4-part1").substream("bipartite"))
     while True:
         cyc = find_short_cycle(bip, girth)
         assert cyc == all_roots_short_cycle(bip, girth)
@@ -235,7 +236,7 @@ def _assert_prunes_like_rebuild(g, max_len):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("n,d,girth", [(40, 4, 10), (48, 5, 10), (60, 5, 8), (120, 5, 10)])
 def test_prune_short_cycles_matches_rebuild_reference(n, d, girth, seed):
-    bip = random_regular_bipartite(n, n, d, SeededRng(seed, "theorem4-part1").substream("bipartite"))
+    bip = random_regular_bipartite(n, d, SeededRng(seed, "theorem4-part1").substream("bipartite"))
     _assert_prunes_like_rebuild(bip, girth)
 
 
@@ -269,7 +270,7 @@ def _clean_tree_edge_deletions(g, max_len):
 
 def test_prune_short_cycles_redoes_a_clean_root_whose_tree_lost_an_edge():
     # a pruner that kept such a root clean deletes 25 edges here, not 24
-    bip = random_regular_bipartite(16, 16, 4, SeededRng(1, "short-cycle"))
+    bip = random_regular_bipartite(16, 4, SeededRng(1, "short-cycle"))
     assert _clean_tree_edge_deletions(bip, 6) > 0
     _assert_prunes_like_rebuild(bip, 6)
     assert prune_short_cycles(bip, 6)[1] == 24
@@ -318,14 +319,14 @@ def test_numpy_rng_deterministic():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_regular_bipartite_caps_degree(seed):
-    g = random_regular_bipartite(12, 12, 4, SeededRng(seed, "bip"))
+    g = random_regular_bipartite(12, 4, SeededRng(seed, "bip"))
     assert g.n == 24
     assert bipartition_violation(g, range(12)) is None
-    assert max(g.degrees()) <= 4
+    assert g.max_degree() <= 4
 
 
 def test_vertex_set_round_trip():
-    vs = VertexSet.from_iterable([5, 1, 3])
+    vs = VertexSet(mask_of([5, 1, 3]))
     assert sorted(vs.members()) == [1, 3, 5]
     assert len(vs) == 3
 

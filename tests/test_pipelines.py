@@ -356,6 +356,18 @@ def test_random_girth_hypergraph_properties(seed):
     assert params.p == pytest.approx(40 ** (1 - 3 + 1 / 6))
 
 
+def test_girth_hypergraph_params_record():
+    # the namespace the benchmark reads is the record theorem4-part2 certifies
+    _, params = random_girth_hypergraph(200, 3, SeededRng(1, "t42").substream("hypergraph"))
+    record = vars(params)
+    assert set(record) == {
+        "t", "r", "p", "delta", "initial_edges", "final_edges", "pruning_log", "seed_record",
+    }
+    _, cert = theorem4_part2_build(named_graph("c4"), 200, SeededRng(1, "t42"))
+    assert json.loads(cert.to_json_bytes())["measurements"]["girth_hypergraph"] == record
+    assert params.initial_edges >= params.final_edges
+
+
 def test_girth_hypergraph_deterministic():
     a, _ = random_girth_hypergraph(30, 3, SeededRng(7, "gh"))
     b, _ = random_girth_hypergraph(30, 3, SeededRng(7, "gh"))

@@ -6,6 +6,7 @@ import pytest
 
 from erdos_rogers import (
     Hypergraph,
+    InputError,
     SeededRng,
     complete_bipartite,
     complete_graph,
@@ -57,7 +58,7 @@ def test_greedy_respects_floor(seed):
     vs = greedy_independent_set(g)
     members = sorted(vs.members())
     check_independent(g, members)
-    dmax = max(g.degrees()) if g.n else 0
+    dmax = g.max_degree()
     assert len(members) >= math.ceil(g.n / (dmax + 1))
 
 
@@ -225,6 +226,14 @@ def test_spencer_expectation_floor():
     assert res.size >= 26
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_spencer_refuses_no_trials(trials):
+    h = random_hypergraph(50, 100, 3, 9)
+    with pytest.raises(InputError) as exc:
+        spencer_independent_set(h, SeededRng(5, "sp"), trials=trials)
+    assert exc.value.witness == {"trials": trials}
+
+
 def test_spencer_deterministic():
     h = random_hypergraph(50, 100, 3, 9)
     a = spencer_independent_set(h, SeededRng(5, "sp"), trials=8)
@@ -261,6 +270,14 @@ def test_drc_on_complete_bipartite_hits_target():
     assert res.status == "ok"
     assert res.gamma == pytest.approx(1.0)
     assert res.size >= res.target
+
+
+@pytest.mark.parametrize("retries", [0, -3])
+def test_drc_refuses_no_retries(retries):
+    g = complete_bipartite(20, 20)
+    with pytest.raises(InputError) as exc:
+        dependent_random_choice(g, range(20), range(20, 40), 3, SeededRng(1, "drc"), retries=retries)
+    assert exc.value.witness == {"retries": retries}
 
 
 def test_count_edges_between_ordered_pairs():
