@@ -123,6 +123,17 @@ def _budget_ms(text):
     return ms
 
 
+def _node_budget(text):
+    """The type of --budget and --ffree-budget: a whole number of nodes >= 1."""
+    try:
+        nodes = int(text)
+        if nodes >= 1:
+            return nodes
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _budget_of(args, engine):
     """Node budget of --budget-ms for the engine the command drives."""
     ms = getattr(args, "budget_ms", None)
@@ -477,7 +488,7 @@ def build_parser():
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--f", required=True, help=_NAMED_HINT)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ffree-budget", type=int, default=None)
+    p.add_argument("--ffree-budget", type=_node_budget, default=None)
     _add_out_flags(p)
     p.set_defaults(func=cmd_construct_theorem1)
 
@@ -586,7 +597,7 @@ def build_parser():
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_node_budget, default=None)
     p.set_defaults(func=cmd_oracle_brute_force_f)
 
     pattern = sub.add_parser("pattern").add_subparsers(dest="what", required=True)

@@ -5,15 +5,17 @@ graph it covers is by definition the union of its cliques (a complete
 graph on each clique), so it is never built or stored; every edge is
 covered, and the one invariant left to check is edge-disjointness.
 
-Validation uses the pair-dictionary trick: two cliques share two vertices
-exactly when some vertex pair appears in both, so one sweep over all
-within-clique pairs checks edge-disjointness in O(sum |K_i|^2) instead of
-O(#cliques^2).  `_first_shared_pair` is that one sweep, for
-`edge_clique_map` and the witnesses of a failed `validate` and a failed
-`hypergraphs.hypergraph_is_linear`.  `validate` first decides with
-`_shares_a_pair`, which does the same work vertex by vertex and keeps one
-mark per vertex instead of a dict entry per pair: on the theorem-1 cover
-at (2,65,6) that dict holds 242k tuples.
+Two sets share a vertex pair exactly when they meet in at least two
+vertices, and a count decides that: set i meets at most
+sum_{v in S_i} |{k in K_v : k > i}| later sets, K_v the sets through v,
+with equality exactly when each of them shares a single vertex with it.
+So no two sets share a pair iff the numbers of later sets meeting each
+set sum to sum_v C(|K_v|, 2).  `_shares_a_pair` makes that count for
+`validate` and for `hypergraphs.hypergraph_is_linear`, keeping one set of
+later sets at a time.  `_first_shared_pair`, one sweep over all within-clique pairs in
+O(sum |K_i|^2), builds the pair map of `edge_clique_map` and names the
+witness of a failed check; on the theorem-1 cover at (2,65,6) its dict
+holds 242k tuples.
 """
 
 from itertools import combinations
@@ -90,24 +92,34 @@ def _first_shared_pair(sets):
     return seen, None
 
 
+def _later_meeting(sets, inc):
+    """For i from the last set down, the set of indices k > i of the sets
+    that meet set i.  It fills inc[v] with the sets through v in
+    descending order as it goes; inc starts as [()] * n, so that only the
+    vertices in use get a list of their own."""
+    for i in range(len(sets) - 1, -1, -1):
+        later = set()
+        for v in sets[i]:
+            through = inc[v]
+            if through:
+                later.update(through)
+                through.append(i)
+            else:
+                inc[v] = [i]
+        yield later
+
+
+def _pairs_through(inc):
+    """sum_v C(deg v, 2) over the incidence lists inc."""
+    return sum(len(t) * (len(t) - 1) // 2 for t in inc)
+
+
 def _shares_a_pair(sets, n):
     """Whether two of the tuples `sets`, each of distinct vertices in
-    range(n), share a vertex pair.  The sets through u share the pair
-    {u, v} exactly when v lies in two of them, so one mark per vertex,
-    the last u whose sets held it, finds every shared pair."""
-    through = [[] for _ in range(n)]
-    for members in sets:
-        for u in members:
-            through[u].append(members)
-    mark = [-1] * n
-    for u, incident in enumerate(through):
-        for members in incident:
-            for v in members:
-                if v != u:
-                    if mark[v] == u:
-                        return True
-                    mark[v] = u
-    return False
+    range(n), share a vertex pair: the numbers of later sets meeting each
+    set fall short of sum_v C(deg v, 2) exactly then."""
+    inc = [()] * n
+    return sum(map(len, _later_meeting(sets, inc))) != _pairs_through(inc)
 
 
 def _sorted_cliques(cliques, n):

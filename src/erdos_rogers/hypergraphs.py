@@ -4,11 +4,11 @@ pipelines.  The cover is a `CliqueCover(h.m, cliques)` whose cliques are
 sorted tuples of edge indices; the line graph itself is built only by
 `line_intersection_graph`.
 
-A hypergraph is linear when any two edges share at most one vertex; a
-count of meeting edges decides it, and the one shared-pair sweep of
-`covers` names the witness.  A triangle here is three edges pairwise
-intersecting in exactly one vertex with no vertex common to all three.  A
-loose cycle of length 2 is a pair of edges sharing at least two vertices;
+A hypergraph is linear when any two edges share at most one vertex; the
+count of meeting edges that checks a clique cover in `covers` decides it,
+and the one shared-pair sweep of `covers` names the witness.  A triangle
+here is three edges pairwise intersecting in exactly one vertex with no
+vertex common to all three.  A loose cycle of length 2 is a pair of edges sharing at least two vertices;
 for length l > 2 it is l distinct edges e_1..e_l and l distinct vertices
 with consecutive edges (cyclically) meeting in exactly one vertex and all
 other pairs disjoint.  Loose cycles are found from the incidence lists:
@@ -19,7 +19,7 @@ the vertices it shares.
 from itertools import combinations, islice
 from operator import lt
 
-from .covers import Audit, CliqueCover, _first_shared_pair
+from .covers import Audit, CliqueCover, _first_shared_pair, _later_meeting, _pairs_through, _shares_a_pair
 from .errors import FormatError, InputError, SelfCheckError
 from .graphs import Graph, _check_vertex_count, read_text
 
@@ -99,40 +99,15 @@ def _check_each_edge(edges, n, r):
         seen.add(t)
 
 
-def _later_meeting(edges, inc):
-    """For i from the last edge down, the set of edges k > i that meet
-    edge i.  It fills inc[v] with the edges through v in descending
-    order as it goes; inc starts as [()] * n, so that only the vertices in
-    use get a list of their own."""
-    for i in range(len(edges) - 1, -1, -1):
-        later = set()
-        for v in edges[i]:
-            through = inc[v]
-            if through:
-                later.update(through)
-                through.append(i)
-            else:
-                inc[v] = [i]
-        yield later
-
-
-def _pairs_through(inc):
-    """sum_v C(deg v, 2) over the incidence lists inc."""
-    return sum(len(t) * (len(t) - 1) // 2 for t in inc)
-
-
 def hypergraph_is_linear(h):
     """Audit: every two edges share at most one vertex.
 
-    Edge i meets at most sum_{v in e_i} |{k in K_v : k > i}| later edges,
-    with equality exactly when each of them shares a single vertex with
-    it, so h is linear iff the numbers of later edges meeting each edge
-    sum to sum_v C(deg v, 2).  That count keeps one set at a time; only a
-    non-linear h runs the shared-pair sweep of `covers`, for the witness:
-    the first vertex pair that an edge shares with an earlier one.
+    The count of `covers._shares_a_pair` decides: h is linear iff the
+    numbers of later edges meeting each edge sum to sum_v C(deg v, 2).
+    Only a non-linear h runs the shared-pair sweep of `covers`, for the
+    witness: the first vertex pair that an edge shares with an earlier one.
     """
-    inc = [()] * h.n
-    if sum(map(len, _later_meeting(h.edges, inc))) == _pairs_through(inc):
+    if not _shares_a_pair(h.edges, h.n):
         return Audit("linear", True)
     _, (i, j, pair) = _first_shared_pair(h.edges)
     return Audit("linear", False, {"edges": [i, j], "shared_vertices": list(pair)})
@@ -148,16 +123,15 @@ def hypergraph_is_triangle_free(h):
     incidence order, then the third edge k > j ascending.
 
     Both checks count the upper neighbour sets up[i], the edges k > i that
-    meet edge i, instead of sweeping pairs.  Edge i meets at most
-    sum_{v in e_i} |{k in K_v : k > i}| later edges, with equality exactly
-    when each of them shares a single vertex with it, so h is linear iff
-    the sizes |up[i]| sum to sum_v C(deg v, 2); only a non-linear h runs
-    `hypergraph_is_linear`, for its witness.  In a linear h, a pair i < j
-    through v has a common neighbour k > j off v exactly when the sets
-    up[i] - K_v, i in K_v, are not disjoint, that is when their union has
-    fewer than d - 1 + sum_i |up[i]| - C(d, 2) members, d = |K_v| (the part
-    inside K_v is K_v less its least edge).  So the ordered pair scan runs
-    at the first vertex that fails this test, and finds the witness there."""
+    meet edge i, instead of sweeping pairs.  As in `covers._shares_a_pair`,
+    h is linear iff the sizes |up[i]| sum to sum_v C(deg v, 2); only a
+    non-linear h runs `hypergraph_is_linear`, for its witness.  In a linear
+    h, a pair i < j through v has a common neighbour k > j off v exactly
+    when the sets up[i] - K_v, i in K_v, are not disjoint, that is when
+    their union has fewer than d - 1 + sum_i |up[i]| - C(d, 2) members,
+    d = |K_v| (the part inside K_v is K_v less its least edge).  So the
+    ordered pair scan runs at the first vertex that fails this test, and
+    finds the witness there."""
     edges = h.edges
     # up[i] collects the later edges through e_i, and inc[v] lists the
     # edges through v in descending order; as tuples the up sets of the

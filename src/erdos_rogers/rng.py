@@ -123,10 +123,6 @@ class SeededRng:
             if value < limit:
                 return value % n
 
-    def randint(self, a, b):
-        """Uniform integer in [a, b], both ends included."""
-        return a + self.randrange(b - a + 1)
-
     def shuffle(self, items):
         """In-place Fisher-Yates."""
         for i in range(len(items) - 1, 0, -1):

@@ -278,13 +278,11 @@ def hypergraph_independence_violation(h, mask):
 
 
 class SpencerResult:
-    __slots__ = ("vertex_set", "expectation_bound", "trial_sizes", "best_trial")
+    __slots__ = ("vertex_set", "expectation_bound")
 
-    def __init__(self, vertex_set, expectation_bound, trial_sizes, best_trial):
+    def __init__(self, vertex_set, expectation_bound):
         self.vertex_set = vertex_set
         self.expectation_bound = expectation_bound
-        self.trial_sizes = trial_sizes
-        self.best_trial = best_trial
 
     @property
     def size(self):
@@ -296,7 +294,8 @@ class SpencerResult:
 
 def spencer_independent_set(h, rng, trials=50):
     """Sample each vertex with probability p = min(1, (n/(k|E|))^(1/(k-1))),
-    then delete one vertex from every surviving edge; best of `trials` >= 1.
+    then delete one vertex from every surviving edge; best of `trials` >= 1,
+    the first strictly largest trial winning.
 
     The expected size is at least (1 - 1/k) n / d^(1/(k-1)) with d = k|E|/n.
     The returned set is re-validated as independent."""
@@ -306,17 +305,15 @@ def spencer_independent_set(h, rng, trials=50):
         raise InputError("trials >= 1 required", witness={"trials": trials})
     k, n, m = h.r, h.n, h.m
     if n == 0:
-        return SpencerResult(VertexSet(0), 0.0, [], None)
+        return SpencerResult(VertexSet(0), 0.0)
     if m == 0:
         full = (1 << n) - 1
-        return SpencerResult(VertexSet(full), float(n), [n], 0)
+        return SpencerResult(VertexSet(full), float(n))
     d = k * m / n
     p = min(1.0, (n / (k * m)) ** (1.0 / (k - 1)))
     bound = (1.0 - 1.0 / k) * n / d ** (1.0 / (k - 1))
 
     best_mask = 0
-    best_trial = None
-    sizes = []
     for trial in range(trials):
         stream = rng.substream(f"trial-{trial}")
         mask = 0
@@ -325,15 +322,14 @@ def spencer_independent_set(h, rng, trials=50):
         for e in h.edges:
             if all((mask >> v) & 1 for v in e):
                 mask &= ~(1 << e[-1])
-        sizes.append(mask.bit_count())
         if mask.bit_count() > best_mask.bit_count():
-            best_mask, best_trial = mask, trial
+            best_mask = mask
     if best_mask == 0 and n >= 1:
         best_mask = 1  # a single vertex is always independent (k >= 2)
     viol = hypergraph_independence_violation(h, best_mask)
     if viol is not None:
         raise SelfCheckError(f"sample-and-delete left edge {viol} uncovered")
-    return SpencerResult(VertexSet(best_mask), bound, sizes, best_trial)
+    return SpencerResult(VertexSet(best_mask), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +345,13 @@ def count_edges_between(g, xs, ys):
 
 
 class DrcResult:
-    __slots__ = ("vertex_set", "status", "gamma", "threshold", "target", "retries_used")
+    __slots__ = ("vertex_set", "status", "gamma", "target")
 
-    def __init__(self, vertex_set, status, gamma, threshold, target, retries_used):
+    def __init__(self, vertex_set, status, gamma, target):
         self.vertex_set = vertex_set
         self.status = status  # "ok" | "target-missed"
         self.gamma = gamma
-        self.threshold = threshold
         self.target = target
-        self.retries_used = retries_used
 
     @property
     def size(self):
@@ -417,7 +411,6 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
 
     best_mask = 0
     for attempt in range(retries):
-        used = attempt + 1
         stream = rng.substream(f"try-{attempt}")
         sample = [x_list[stream.randrange(nx)] for _ in range(s)]
         common = ym
@@ -439,7 +432,7 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
                     f"pair ({zl[a]}, {zl[b]}) has {codeg} common neighbors < {threshold}"
                 )
     status = "ok" if best_mask.bit_count() >= target else "target-missed"
-    return DrcResult(VertexSet(best_mask), status, gamma, threshold, target, used)
+    return DrcResult(VertexSet(best_mask), status, gamma, target)
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +440,14 @@ def dependent_random_choice(g, xs, ys, s, rng, retries=20):
 # ---------------------------------------------------------------------------
 
 class DensePair:
-    __slots__ = (
-        "X", "Y", "edges_between", "gamma", "delta", "d", "k", "cycle_count",
-        "surviving_cycles", "trace", "flags",
-    )
+    __slots__ = ("X", "Y", "edges_between", "gamma", "delta")
 
-    def __init__(self, X, Y, edges_between, gamma, delta, d, k, cycle_count, surviving_cycles, trace, flags):
+    def __init__(self, X, Y, edges_between, gamma, delta):
         self.X = X
         self.Y = Y
         self.edges_between = edges_between
         self.gamma = gamma
         self.delta = delta
-        self.d = d
-        self.k = k
-        self.cycle_count = cycle_count
-        self.surviving_cycles = surviving_cycles
-        self.trace = trace
-        self.flags = flags
 
     def __repr__(self):
         return f"DensePair(|X|={len(self.X)}, |Y|={len(self.Y)}, gamma={self.gamma:.4f})"
@@ -482,9 +466,8 @@ def ckprop_dense_pair(g, v0, k):
     refined interior level, Y the trace of the survivors one step further.
 
     The dyadic degree invariant of every chosen bucket is asserted.  The
-    guarantees from the underlying counting argument are evaluated as
-    pass/fail flags (both published forms of the density bound), never
-    assumed; downstream users take the measured gamma.
+    result carries the measured edge count and density gamma of (X, Y) and
+    delta = (number of cycles) / d^(k-1), with d the maximum degree.
     """
     _check_cycle_args(k)
     if not 0 <= v0 < g.n:
@@ -498,15 +481,12 @@ def ckprop_dense_pair(g, v0, k):
         raise InputError("no k-cycles through the root vertex", witness={"v0": v0, "k": k})
 
     delta = len(cycles) / d ** (k - 1)
-    log2d = math.log2(d)
 
-    level_mask = {1: 0}
+    prev_mask = 0
     for cyc in cycles:
-        level_mask[1] |= 1 << cyc[1]
+        prev_mask |= 1 << cyc[1]
 
     survivors = cycles
-    trace = []
-    prev_mask = level_mask[1]
     for i in range(2, k - 1):
         xi = set(cyc[i] for cyc in cycles)
         # count surviving cycles per dyadic degree bucket
@@ -537,15 +517,6 @@ def ckprop_dense_pair(g, v0, k):
                 raise SelfCheckError(
                     f"level {i}: vertex {v} degree {deg} outside [{a_i / 2}, {a_i}]"
                 )
-        trace.append(
-            {
-                "level": i,
-                "bucket_j": best_j,
-                "a_i": a_i,
-                "bucket_size": chosen_mask.bit_count(),
-                "surviving_cycles": len(survivors),
-            }
-        )
         prev_mask = chosen_mask
 
     x_mask = prev_mask
@@ -556,20 +527,7 @@ def ckprop_dense_pair(g, v0, k):
     X, Y = VertexSet(x_mask), VertexSet(y_mask)
     e_xy = count_edges_between(g, x_mask, y_mask)
     gamma = e_xy / (len(X) * len(Y)) if len(X) and len(Y) else 0.0
-    denom_stated = (2.0 * log2d) ** k
-    denom_proof = 2.0 ** (k - 1) * log2d ** (k - 3)
-    size_floor = delta * d / log2d ** (k - 3) if log2d > 0 else 0.0
-    flags = {
-        "edge_bound_stated": e_xy >= delta * len(X) * len(Y) / denom_stated,
-        "edge_bound_proof": e_xy >= delta * len(X) * len(Y) / denom_proof,
-        "edge_bound_stated_value": delta * len(X) * len(Y) / denom_stated,
-        "edge_bound_proof_value": delta * len(X) * len(Y) / denom_proof,
-        "size_bound": min(len(X), len(Y)) >= size_floor,
-        "size_bound_value": size_floor,
-    }
-    return DensePair(
-        X, Y, e_xy, gamma, delta, d, k, len(cycles), len(survivors), trace, flags
-    )
+    return DensePair(X, Y, e_xy, gamma, delta)
 
 
 # ---------------------------------------------------------------------------

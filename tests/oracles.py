@@ -232,6 +232,12 @@ def disjoint_cycles(count, length):
     ])
 
 
+def circulant_regular(n, jumps):
+    """The circulant graph on Z_n joining i to i + j for each jump j; with
+    distinct jumps below n / 2 it is 2 |jumps|-regular."""
+    return Graph(n, sorted({tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}))
+
+
 def find_any_sunflower(family, m):
     """Exhaustive search for m sets with a common pairwise intersection."""
     for combo in itertools.combinations(range(len(family)), m):

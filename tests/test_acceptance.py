@@ -167,8 +167,9 @@ def test_criterion_05_drc_audit(capsys):
         res = dependent_random_choice(g, xs, ys, 3, SeededRng(i, "acc5"))
         members = list(res.vertex_set.members())
         assert all(v >= 200 for v in members)
+        threshold = res.gamma * len(xs) * len(ys) ** (-1.0 / 3)
         for u, v in itertools.combinations(members, 2):
-            assert (g.row(u) & g.row(v) & xmask).bit_count() >= res.threshold
+            assert (g.row(u) & g.row(v) & xmask).bit_count() >= threshold
         statuses[res.status] += 1
     assert sum(statuses.values()) == 50
     budget.done()
@@ -199,8 +200,8 @@ def test_criterion_07_hom_oracle_equivalence(capsys):
     assert ok is False and mapping is not None
     for i in range(500):
         r = SeededRng(i, "acc7")
-        f = gnp_graph(r.randint(1, 5), r.random(), r.substream("f"))
-        g = gnp_graph(r.randint(1, 5), r.random(), r.substream("g"))
+        f = gnp_graph(1 + r.randrange(5), r.random(), r.substream("f"))
+        g = gnp_graph(1 + r.randrange(5), r.random(), r.substream("g"))
         mine, _ = is_hom_free(f, g)
         assert mine == blowup_hom_oracle(f, g), (i, f.edges(), g.edges())
     budget.done()
@@ -308,14 +309,14 @@ def test_criterion_12_determinism(capsys):
 
     def spencer():
         res = spencer_independent_set(random_triple_system(901), SeededRng(3, "det"), trials=50)
-        return res.vertex_set.mask, res.best_trial, tuple(res.trial_sizes)
+        return res.vertex_set.mask, res.expectation_bound
 
     assert spencer() == spencer()
 
     def drc():
         g = bipartite_gnp(200, 200, 0.3, SeededRng(501, "det-g"))
         res = dependent_random_choice(g, list(range(200)), list(range(200, 400)), 3, SeededRng(3, "det"))
-        return res.vertex_set.mask, res.status, res.retries_used
+        return res.vertex_set.mask, res.status, res.gamma, res.target
 
     assert drc() == drc()
 

@@ -7,10 +7,12 @@ import pytest
 
 from erdos_rogers import (
     CliqueCover,
+    Hypergraph,
     InputError,
     SeededRng,
     complete_bipartite,
     cycle_graph,
+    hypergraph_is_linear,
     is_hom_free,
     named_graph,
     random_blowup,
@@ -150,8 +152,8 @@ def test_is_hom_free_witnesses_pinned():
     # seeded pairs, sources often disconnected, against the blowup oracle
     for i in range(150):
         r = SeededRng(i, "hom-pin")
-        pattern = gnp_graph(r.randint(1, 5), r.random(), r.substream("f"))
-        source = gnp_graph(r.randint(1, 7), r.random() * 0.6, r.substream("g"))
+        pattern = gnp_graph(1 + r.randrange(5), r.random(), r.substream("f"))
+        source = gnp_graph(1 + r.randrange(7), r.random() * 0.6, r.substream("g"))
         free, w = is_hom_free(pattern, source)
         assert free == blowup_hom_oracle(pattern, source), (i, pattern.edges(), source.edges())
         if not free:
@@ -181,10 +183,11 @@ def test_blowup_rejects_overlapping_cliques():
 
 
 def test_validate_agrees_with_the_pair_sweep():
-    # validate decides vertex by vertex and takes its witness from the pair
-    # sweep; on random covers, many of them overlapping, both must agree
+    # validate and hypergraph_is_linear decide by counting meeting sets and
+    # take their witness from the pair sweep; on random families, many of
+    # them overlapping, both must agree with the sweep written out here
     rnd = random.Random("erdos-rogers-covers/shared-pair")
-    overlaps = 0
+    overlaps = linear_checks = linear_overlaps = 0
     for _ in range(2000):
         n = rnd.randint(1, 9)
         cliques = [rnd.sample(range(n), rnd.randint(1, n)) for _ in range(rnd.randint(0, 5))]
@@ -200,7 +203,16 @@ def test_validate_agrees_with_the_pair_sweep():
         assert audit.passed is (shared is None)
         assert audit.witness == shared
         overlaps += shared is not None
+        # a hypergraph refuses a repeated edge, so only families without one
+        if len(set(cover.cliques)) == len(cover.cliques):
+            lin = hypergraph_is_linear(Hypergraph(n, cover.cliques))
+            assert lin.passed is (shared is None)
+            if shared is not None:
+                assert lin.witness == {"edges": shared["cliques"], "shared_vertices": shared["shared_pair"]}
+            linear_checks += 1
+            linear_overlaps += not lin.passed
     assert 500 < overlaps < 1500
+    assert linear_checks > 1000 and linear_overlaps > 300
 
 
 def test_union_cover_rejects_out_of_range_vertex():

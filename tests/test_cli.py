@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from erdos_rogers import read_graph, write_graph, named_graph
 from erdos_rogers.cli import main
-from oracles import disjoint_cycles
+from oracles import circulant_regular, disjoint_cycles
 
 
 def run(argv, capsys):
@@ -338,6 +339,58 @@ def test_search_spencer_no_trials_exit_3(tmp_path, capsys):
     code, out, err = run(["search", "spencer", "--in", efr, "--trials", "0"], capsys)
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "trials >= 1 required", "witness": {"trials": 0}}
+
+
+@pytest.fixture(scope="module")
+def lemma_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lemma")
+    paths = {name: str(root / name) for name in ("petersen.g", "c64.g", "efr5.hg")}
+    write_graph(paths["petersen.g"], named_graph("petersen"))
+    write_graph(paths["c64.g"], circulant_regular(64, range(1, 9)))  # 16-regular
+    assert main(["construct", "efr", "--d", "2", "--r", "5", "--R", "3", "--out", paths["efr5.hg"]]) == 0
+    return paths
+
+
+# the line each lemma command prints, runtime_ms aside
+LEMMA_LINES = [
+    pytest.param(["search", "ckprop", "--in", "petersen.g", "--v0", "0", "--k", "5"],
+                 "X=2 Y=1 e=2 gamma=1.0000 delta=0.074074 verified=pass", id="ckprop-petersen-k5"),
+    pytest.param(["search", "ckprop", "--in", "c64.g", "--v0", "0", "--k", "4"],
+                 "X=10 Y=15 e=111 gamma=0.7400 delta=0.246094 verified=pass", id="ckprop-c64-k4"),
+    pytest.param(["search", "ckprop", "--in", "c64.g", "--v0", "0", "--k", "5"],
+                 "X=6 Y=15 e=73 gamma=0.8111 delta=0.176239 verified=pass", id="ckprop-c64-k5"),
+    pytest.param(["search", "drc", "--in", "petersen.g", "--x", "0-4", "--y", "5-9", "--s", "2", "--seed", "1"],
+                 "size=0 status=target-missed gamma=0.2000 target=0.10 verified=pass", id="drc-petersen"),
+    pytest.param(["search", "spencer", "--in", "efr5.hg", "--seed", "1", "--trials", "5"],
+                 "size=309 bound=356.423 verified=pass", id="spencer-efr5"),
+]
+
+
+@pytest.mark.parametrize("argv,line", LEMMA_LINES)
+def test_lemma_commands_print_pinned_lines(lemma_inputs, capsys, argv, line):
+    capsys.readouterr()
+    path = lemma_inputs[argv[3]]
+    code, out, err = run(argv[:3] + [path] + argv[4:], capsys)
+    assert code == 0 and err == ""
+    assert re.fullmatch(re.escape(f"id={path} {line}") + r" runtime_ms=\d+\n", out), out
+
+
+NODE_BUDGET_COMMANDS = [
+    ["oracle", "brute-force-f", "--f", "k2", "--g", "k3", "--n", "6", "--budget"],
+    ["construct", "theorem1", "--d", "2", "--r", "5", "--R", "3", "--f", "c5", "--seed", "1", "--out", "{out}",
+     "--ffree-budget"],
+]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "1.5"])
+@pytest.mark.parametrize("command", NODE_BUDGET_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_node_budget_outside_domain_exit_2(tmp_path, capsys, command, value):
+    out_path = tmp_path / "t1.g"
+    argv = [str(out_path) if a == "{out}" else a for a in command] + [value]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"argument {command[-1]}: expected an integer >= 1" in err and "Traceback" not in err
+    assert not out_path.exists()
 
 
 BUDGET_MS_COMMANDS = [
