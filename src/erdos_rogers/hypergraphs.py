@@ -13,10 +13,10 @@ for length l > 2 it is l distinct edges e_1..e_l and l distinct vertices
 with consecutive edges (cyclically) meeting in exactly one vertex and all
 other pairs disjoint.  Loose cycles are found from the incidence lists:
 one sweep over the edges through each vertex names every meeting pair and
-the vertices it shares.
+the vertices it shares, and serves the cycles of every length.
 """
 
-from itertools import combinations, islice
+from itertools import combinations
 from operator import lt
 
 from .covers import Audit, CliqueCover, _first_shared_pair, _later_meeting, _pairs_through, _shares_a_pair
@@ -229,50 +229,43 @@ def _extend_loose(meet, esets, length, limit, out, path, verts, union):
         _extend_loose(meet, esets, length, limit, out, path + (j,), verts + (v,), union | esets[j])
 
 
-def _meeting_pairs(h):
-    """((i, j), shared) for each pair i < j of meeting edges, in ascending
-    pair order, with the vertices the two share ascending: one sweep of
-    the incidence lists."""
+def find_loose_cycles(h, longest, limit=None):
+    """The loose cycles of every length 2..longest, the shortest length
+    first and each length in canonical order, cut at limit.
+
+    Canonical form: the edge index sequence starts at the cycle's smallest
+    edge index and the second index is smaller than the last, so each cycle
+    appears exactly once.  One sweep of the incidence lists names every
+    meeting pair and the vertices it shares: the pairs sharing at least two
+    are the cycles of length 2, and longer cycles walk the pairs sharing
+    exactly one.  A cycle of length l >= 3 has l distinct edges and l such
+    pairs, so no length beyond h.m or the number of those pairs is walked.
+    """
+    if longest < 2:
+        return []
     shared = {}
     for v, through in enumerate(h.vertex_edges()):
         for pair in combinations(through, 2):
             shared.setdefault(pair, []).append(v)
-    return sorted(shared.items())
-
-
-def find_loose_cycles(h, length, limit=None):
-    """All loose cycles of the given length, in canonical order.
-
-    Canonical form: the edge index sequence starts at the cycle's smallest
-    edge index and the second index is smaller than the last, so each cycle
-    appears exactly once.  With limit set, enumeration stops early.
-    Length 2 is the meeting pairs sharing at least two vertices; longer
-    cycles walk the pairs sharing exactly one.
-    """
-    if length < 2:
-        raise InputError("loose cycles have length at least 2")
-    pairs = _meeting_pairs(h)
-    if length == 2:
-        return list(islice((LooseCycle(pair, shared) for pair, shared in pairs if len(shared) >= 2), limit))
-
-    # adjacency between edges sharing exactly one vertex
-    meet = [[] for _ in range(h.m)]
-    for (i, j), shared in pairs:
-        if len(shared) == 1:
-            (v,) = shared
-            meet[i].append((j, v))
-            meet[j].append((i, v))
-    del pairs
-
     out = []
+    # adjacency between edges sharing exactly one vertex, ascending
+    meet = [[] for _ in range(h.m)]
+    for (i, j), vs in sorted(shared.items()):
+        if len(vs) > 1:
+            out.append(LooseCycle((i, j), vs))
+        else:
+            meet[i].append((j, vs[0]))
+            meet[j].append((i, vs[0]))
+    out = out[:limit]
     esets = [frozenset(e) for e in h.edges]
-    for i in range(h.m):
-        for j, v in meet[i]:
-            if j <= i:
-                continue
-            _extend_loose(meet, esets, length, limit, out, (i, j), (v,), esets[i] | esets[j])
-            if limit is not None and len(out) >= limit:
-                return out
+    for length in range(3, min(longest, h.m, sum(map(len, meet)) // 2) + 1):
+        for i in range(h.m):
+            for j, v in meet[i]:
+                if j <= i:
+                    continue
+                _extend_loose(meet, esets, length, limit, out, (i, j), (v,), esets[i] | esets[j])
+                if limit is not None and len(out) >= limit:
+                    return out
     return out
 
 
@@ -280,10 +273,9 @@ def hypergraph_girth_at_least(h, g):
     """Audit: no loose cycle of length below g; witness is a shortest one."""
     if g < 2:
         raise InputError("girth threshold must be at least 2")
-    for length in range(2, g):
-        found = find_loose_cycles(h, length, limit=1)
-        if found:
-            return Audit("girth_at_least", False, found[0].witness())
+    found = find_loose_cycles(h, g - 1, limit=1)
+    if found:
+        return Audit("girth_at_least", False, found[0].witness())
     return Audit("girth_at_least", True)
 
 

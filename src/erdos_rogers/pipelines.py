@@ -392,10 +392,12 @@ def random_girth_hypergraph(t, r, rng):
         prev = i
     h0 = Hypergraph(t, edges, r=r)
 
+    by_length = {length: [] for length in range(2, r + 2)}
+    for cyc in find_loose_cycles(h0, r + 1):
+        by_length[cyc.length].append(cyc)
     removed = set()
     pruning_log = []
-    for length in range(2, r + 2):
-        cycles = find_loose_cycles(h0, length)
+    for length, cycles in by_length.items():
         used = set()
         family = []
         for cyc in cycles:

@@ -129,16 +129,6 @@ class SeededRng:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample(self, population, k):
-        """k distinct items, order randomized (partial Fisher-Yates)."""
-        items = list(population)
-        if k > len(items):
-            raise ValueError("sample larger than population")
-        for i in range(k):
-            j = i + self.randrange(len(items) - i)
-            items[i], items[j] = items[j], items[i]
-        return items[:k]
-
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, label={self.label!r})"
 

@@ -9,6 +9,7 @@ in search steps, not wall-clock time, so results are reproducible.
 """
 
 import math
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import InputError, SelfCheckError
@@ -17,20 +18,29 @@ from .subgraph import contains_subgraph
 
 
 def greedy_independent_set(g):
-    """Repeatedly take a minimum-degree vertex and discard its neighbors.
-    Always returns at least ceil(n / (max_degree + 1)) vertices."""
-    rows = g.rows()
-    alive = g.full_mask()
+    """Repeatedly take a vertex of least live degree, the least such index,
+    and discard its neighbors.  A heap holds (live degree, vertex) entries;
+    an entry whose vertex died or whose degree fell since is stale and
+    skipped.  Always returns at least ceil(n / (max_degree + 1)) vertices."""
+    nbrs = [list(bits(row)) for row in g.rows()]
+    degree = list(map(len, nbrs))
+    heap = sorted(zip(degree, range(g.n)))
+    alive = [True] * g.n
     chosen = 0
-    while alive:
-        best = -1
-        best_deg = None
-        for v in bits(alive):
-            dv = (rows[v] & alive).bit_count()
-            if best_deg is None or dv < best_deg:
-                best, best_deg = v, dv
-        chosen |= 1 << best
-        alive &= ~(rows[best] | (1 << best))
+    while heap:
+        d, v = heappop(heap)
+        if not alive[v] or d != degree[v]:
+            continue
+        chosen |= 1 << v
+        alive[v] = False
+        dropped = [u for u in nbrs[v] if alive[u]]
+        for u in dropped:
+            alive[u] = False
+        for u in dropped:
+            for w in nbrs[u]:
+                if alive[w]:
+                    degree[w] -= 1
+                    heappush(heap, (degree[w], w))
     return VertexSet(chosen)
 
 

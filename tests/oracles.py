@@ -13,10 +13,41 @@ import itertools
 
 import numpy as np
 
-from erdos_rogers import Graph, InputError, contains_subgraph, greedy_independent_set
+from erdos_rogers import Graph, InputError, VertexSet, contains_subgraph
 from erdos_rogers.graphs import bits, find_short_cycle
 from erdos_rogers.hypergraphs import LooseCycle
 from erdos_rogers.pipelines import canonical_form
+
+
+def seeded_sample(rng, population, k):
+    """k distinct items of population drawn from a SeededRng, order
+    randomized by a partial Fisher-Yates shuffle."""
+    items = list(population)
+    if k > len(items):
+        raise ValueError("sample larger than population")
+    for i in range(k):
+        j = i + rng.randrange(len(items) - i)
+        items[i], items[j] = items[j], items[i]
+    return items[:k]
+
+
+def rescan_greedy_independent_set(g):
+    """greedy_independent_set by rescanning every live vertex for each
+    pick: take the least vertex of least live degree, discard its
+    neighbours, repeat."""
+    rows = g.rows()
+    alive = g.full_mask()
+    chosen = 0
+    while alive:
+        best = -1
+        best_deg = None
+        for v in bits(alive):
+            dv = (rows[v] & alive).bit_count()
+            if best_deg is None or dv < best_deg:
+                best, best_deg = v, dv
+        chosen |= 1 << best
+        alive &= ~(rows[best] | (1 << best))
+    return VertexSet(chosen)
 
 
 def brute_mis(g):
@@ -218,7 +249,7 @@ def recursive_max_independent_set(g, budget=2_000_000):
                 return False
             alive &= ~(1 << pivot)
 
-    seed = greedy_independent_set(g)
+    seed = rescan_greedy_independent_set(g)
     best = [len(seed), seed.mask, 0]
     status = "optimal" if branch(g.full_mask(), 0, 0) else "lower-bound"
     return best[1], status, best[2]

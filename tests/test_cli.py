@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from erdos_rogers import read_graph, write_graph, named_graph
+from erdos_rogers import Hypergraph, read_graph, write_graph, named_graph
+from erdos_rogers.hypergraphs import write_hypergraph
 from erdos_rogers.cli import main
 from oracles import circulant_regular, disjoint_cycles
 
@@ -231,6 +232,40 @@ def test_girth_hypergraph_and_girth_verify(tmp_path, capsys):
     assert main(["construct", "girth-hypergraph", "--t", "40", "--r", "3",
                  "--seed", "3", "--out", out]) == 0
     assert main(["verify", "girth", out, "--min", "5"]) == 0
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1, 2)], [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(100_000)]],
+    ids=["one-edge", "disjoint-100000"],
+)
+def test_girth_verify_stops_at_the_longest_possible_cycle(tmp_path, capsys, edges):
+    # one edge, and 100,000 disjoint edges: no pair of edges meets, so a
+    # trillion-length girth bound is decided by the length-2 sweep alone
+    path = tmp_path / "h.hg"
+    write_hypergraph(path, Hypergraph(3 * len(edges), edges, 3))
+    started = time.monotonic()
+    code, out, _ = run(["verify", "girth", str(path), "--min", "1000000000000"], capsys)
+    assert (code, out.splitlines()[0]) == (0, "pass: girth_at_least")
+    assert time.monotonic() - started < 10
+
+
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        (["search", "independent-set", "--budget-ms", "100"], "19999 optimal"),
+        (["pipeline", "ckfree", "--k", "5"], "branch=whole_set size=20000"),
+        (["pipeline", "ramsey-witness", "--f", "k2", "--g", "k3", "--t", "20000", "--rf", "20000"], "overall=pass"),
+    ],
+    ids=["independent-set", "ckfree", "ramsey-witness"],
+)
+def test_greedy_commands_finish_on_a_20000_vertex_file_with_one_edge(tmp_path, capsys, argv, head):
+    host = tmp_path / "one.g"
+    host.write_text("20000 1\n0 1\n")
+    started = time.monotonic()
+    code, out, _ = run(argv + ["--in", str(host)], capsys)
+    assert code == 0 and head in out.splitlines()[0]
+    assert time.monotonic() - started < 10
 
 
 def test_girth_hypergraph_bytes_pinned(tmp_path, capsys):

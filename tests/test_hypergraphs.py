@@ -15,7 +15,7 @@ from erdos_rogers import (
 )
 from erdos_rogers.covers import _first_shared_pair
 from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text
-from oracles import all_pairs_loose_cycles, first_loose_triangle, naive_loose_cycles
+from oracles import all_pairs_loose_cycles, first_loose_triangle, naive_loose_cycles, seeded_sample
 
 # three 3-edges pairwise meeting in distinct single vertices: a loose triangle
 LOOSE_TRIANGLE = Hypergraph(9, [(0, 1, 2), (2, 3, 4), (0, 4, 5)], 3)
@@ -38,7 +38,7 @@ def _random_hypergraph(seed):
     r = 2 + rng.randrange(4)
     edges = []
     for _ in range(rng.randrange(30)):
-        e = tuple(sorted(rng.sample(range(n), r)))
+        e = tuple(sorted(seeded_sample(rng, range(n), r)))
         if e not in edges:
             edges.append(e)
     return Hypergraph(n, edges, r)
@@ -129,7 +129,7 @@ def test_loose_cycles_match_naive(length):
         [(0, 1, 2), (2, 3, 4), (0, 4, 5), (4, 6, 7), (0, 7, 8), (1, 3, 9)],
         3,
     )
-    cycles = find_loose_cycles(h, length)
+    cycles = [c for c in find_loose_cycles(h, length) if c.length == length]
     assert len(cycles) == naive_loose_cycles(h, length)
     assert _cycle_lists(cycles) == _cycle_lists(all_pairs_loose_cycles(h, length))
     for cyc in cycles:
@@ -146,25 +146,52 @@ def _random_loose_hypergraph(seed, uniform, linear):
     r = 2 + rng.randrange(2) if uniform else None
     edges = []
     for _ in range(4 + rng.randrange(21)):
-        e = tuple(sorted(rng.sample(range(n), r or 1 + rng.randrange(4))))
+        e = tuple(sorted(seeded_sample(rng, range(n), r or 1 + rng.randrange(4))))
         if e in edges or (linear and any(len(set(e) & set(f)) >= 2 for f in edges)):
             continue
         edges.append(e)
     return Hypergraph(n, edges, r)
 
 
-@pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("limit", [None, 1, 2, 5])
-def test_loose_cycles_match_all_pairs_reference(length, limit):
-    found = 0
+def _loose_hypergraphs():
     for seed in range(40):
         for uniform in (True, False):
             for linear in (True, False):
-                h = _random_loose_hypergraph(seed, uniform, linear)
-                cycles = _cycle_lists(find_loose_cycles(h, length, limit))
-                assert cycles == _cycle_lists(all_pairs_loose_cycles(h, length, limit)), (seed, uniform, linear)
-                found += bool(cycles)
-    assert found >= 20
+                yield (seed, uniform, linear), _random_loose_hypergraph(seed, uniform, linear)
+
+
+@pytest.mark.parametrize("longest", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("limit", [None, 1, 2, 5])
+def test_loose_cycles_match_all_pairs_reference(longest, limit):
+    found = 0
+    for key, h in _loose_hypergraphs():
+        expected = [c for length in range(2, longest + 1) for c in all_pairs_loose_cycles(h, length)]
+        cycles = _cycle_lists(find_loose_cycles(h, longest, limit))
+        assert cycles == _cycle_lists(expected[:limit]), key
+        found += bool(cycles)
+    assert found >= 20 or longest < 2
+
+
+def test_girth_audit_matches_the_per_length_reference():
+    failed = 0
+    for key, h in _loose_hypergraphs():
+        for g in range(2, 8):
+            shorter = [all_pairs_loose_cycles(h, length, 1) for length in range(2, g)]
+            witness = next((found[0].witness() for found in shorter if found), None)
+            audit = hypergraph_girth_at_least(h, g)
+            assert (audit.passed, audit.witness) == (witness is None, witness), (key, g)
+            failed += not audit.passed
+    assert failed >= 100
+
+
+def test_loose_cycle_lengths_stop_at_the_edge_and_pair_counts():
+    # one edge, and 100,000 disjoint edges: no two edges meet, so no
+    # length past 2 is walked however long a cycle is asked for
+    for h in (Hypergraph(3, [(0, 1, 2)], 3), Hypergraph(300_000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(100_000)], 3)):
+        assert find_loose_cycles(h, 10**12) == []
+        assert hypergraph_girth_at_least(h, 10**12).passed
+    # three edges and three such pairs: the cap keeps the triangle
+    assert _cycle_lists(find_loose_cycles(LOOSE_TRIANGLE, 10**12)) == [((0, 1, 2), (2, 4, 0))]
 
 
 def test_girth_audit():

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from erdos_rogers import (
+    Graph,
     Hypergraph,
     InputError,
     SeededRng,
@@ -38,6 +39,8 @@ from oracles import (
     gnp_graph,
     perm_contains,
     recursive_max_independent_set,
+    rescan_greedy_independent_set,
+    seeded_sample,
 )
 
 SEEDS = list(range(10))
@@ -61,6 +64,16 @@ def test_greedy_respects_floor(seed):
     check_independent(g, members)
     dmax = g.max_degree()
     assert len(members) >= math.ceil(g.n / (dmax + 1))
+
+
+def test_heap_greedy_matches_the_rescan_reference():
+    graphs = [Graph(0), Graph(1), Graph(30), complete_graph(1), complete_graph(2), complete_graph(30)]
+    for seed in range(300):
+        rng = SeededRng(seed, "greedy-heap")
+        n = rng.randrange(61)
+        graphs.append(gnp_graph(n, rng.randrange(101) / 100, rng))
+    for g in graphs:
+        assert greedy_independent_set(g) == rescan_greedy_independent_set(g), g
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -206,7 +219,7 @@ def random_hypergraph(n, m, r, seed):
     rng = SeededRng(seed, "hg")
     edges = set()
     while len(edges) < m:
-        edges.add(tuple(sorted(rng.sample(range(n), r))))
+        edges.add(tuple(sorted(seeded_sample(rng, range(n), r))))
     return Hypergraph(n, sorted(edges), r)
 
 
@@ -327,7 +340,7 @@ def test_sunflower_found_above_threshold(seed):
     seenset = set()
     # more than t! (m - 1)^t sets of size t hold an m-petal sunflower
     while len(family) < math.factorial(t) * (m - 1) ** t + 1:
-        s = frozenset(rng.sample(range(12), t))
+        s = frozenset(seeded_sample(rng, range(12), t))
         if s not in seenset:
             seenset.add(s)
             family.append(set(s))
