@@ -49,17 +49,17 @@ from .search import (
 from .subgraph import contains_subgraph
 
 # Search nodes per millisecond of each engine, the rate at which --budget-ms
-# becomes a node budget.  Measured by `python3 bench/run.py --trace 1 --seed 1`
-# on a 2-vCPU x86-64 VM with Python 3.11: search.max_f_free_subset.nodes_per_ms
-# on ffree-search (135,916 nodes; the median of five runs that read 259-295,
-# once most branch steps are answered from the per-vertex copies and free
-# sets; the per-step search it replaced read 84 side by side, exact-oracle 94);
-# max_independent_set nodes per ms of self time on girth-clones (67 nodes in
-# 0.88 ms, the only workload that calls it); contains_subgraph nodes per ms
-# of self time on ffree-search (1,089,102 nodes in 2.19 s; a second run read
-# 379, exact-oracle 238).
+# becomes a node budget, measured on a 2-vCPU x86-64 VM with Python 3.11.
+# max_f_free_subset: nodes per ms of wall time of an in-process, untraced
+# loop over the max-ffree jobs of bench/workloads.py ffree_search(1)
+# (12,052 nodes per pass; the median of five 15-pass runs that read
+# 101-131).  The other two are read by `python3 bench/run.py --trace 1
+# --seed 1`: max_independent_set nodes per ms of self time on girth-clones
+# (67 nodes in 0.88 ms, the only workload that calls it); contains_subgraph
+# nodes per ms of self time on ffree-search (1,089,102 nodes in 2.19 s; a
+# second run read 379, exact-oracle 238).
 NODES_PER_MS = {
-    "max_f_free_subset": 281,
+    "max_f_free_subset": 106,
     "max_independent_set": 76,
     "contains_subgraph": 497,
 }
@@ -287,7 +287,7 @@ def _print_set_search(args, res):
     ms = int((time.monotonic() - args.started) * 1000)
     print(f"{res.size} {res.status}")
     print(f"id={args.infile} size={res.size} status={res.status} "
-          f"set={sorted(res.vertex_set.members())} nodes={res.nodes} verified=pass runtime_ms={ms}")
+          f"set={sorted(res.vertex_set.members())} nodes={res.nodes} upper={res.upper} verified=pass runtime_ms={ms}")
     return 0
 
 
@@ -626,7 +626,16 @@ def main(argv=None):
     args.raw_argv = list(argv)
     args.started = time.monotonic()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -n 1`) and wants no more: exit
+        # quietly, with the interpreter's final flush going to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,14 +53,17 @@ def _verify_independent(g, mask):
 
 
 class SetSearchResult:
-    """A vertex set plus whether the search proved optimality."""
+    """A vertex set, whether the search proved optimality, its node count
+    and upper, a bound on the optimum: the set's size when optimal, else
+    the largest bound of any subtree the budget left open."""
 
-    __slots__ = ("vertex_set", "status", "nodes")
+    __slots__ = ("vertex_set", "status", "nodes", "upper")
 
-    def __init__(self, vertex_set, status, nodes=0):
+    def __init__(self, vertex_set, status, nodes, upper):
         self.vertex_set = vertex_set
         self.status = status  # "optimal" | "lower-bound"
         self.nodes = nodes
+        self.upper = upper
 
     @property
     def size(self):
@@ -82,11 +85,18 @@ def max_independent_set(g, budget=DEFAULT_SET_BUDGET):
     never smaller than the greedy Turan floor."""
     seed = greedy_independent_set(g)
     best = [len(seed), seed.mask, 0]
-    exhausted = not _mis_branch(g.rows(), g.full_mask(), best, budget)
-    _, best_mask, nodes = best
-    _verify_independent(g, best_mask)
-    status = "lower-bound" if exhausted else "optimal"
-    return SetSearchResult(VertexSet(best_mask), status, nodes)
+    upper = _mis_branch(g.rows(), g.full_mask(), best, budget)
+    _verify_independent(g, best[1])
+    return _set_result(best, upper)
+
+
+def _set_result(best, upper):
+    """The result of a set search whose branch loop left best = [size,
+    mask, nodes] and returned upper, None when it ended."""
+    size, mask, nodes = best
+    if upper is None:
+        return SetSearchResult(VertexSet(mask), "optimal", nodes, size)
+    return SetSearchResult(VertexSet(mask), "lower-bound", nodes, upper)
 
 
 def _mis_branch(rows, alive, best, budget):
@@ -94,19 +104,22 @@ def _mis_branch(rows, alive, best, budget):
     pivot first and leaving it out afterwards; best = [size, mask, nodes]
     is updated in place.  The leave-out branches wait on an explicit
     stack, so the depth is not bounded by the interpreter's recursion
-    limit.  False once the node budget runs out."""
+    limit.  None when the search ends; once the node budget runs out, the
+    largest cur + live bound among the incumbent, the current node and
+    the open branches."""
     stack = []
     cur_mask = cur_size = 0
     while True:
         best[2] += 1
         if best[2] > budget:
-            return False
+            stack.append((alive, cur_mask, cur_size))  # this node is open too
+            return max(best[0], *(size + live.bit_count() for live, _, size in stack))
         count = alive.bit_count()
         if cur_size + count <= best[0] or count == 0:
             if cur_size > best[0]:
                 best[0], best[1] = cur_size, cur_mask
             if not stack:
-                return True
+                return None
             alive, cur_mask, cur_size = stack.pop()
             continue
         pivot = -1
@@ -158,8 +171,10 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
     first from what earlier searches at i proved: a grown set holding a
     copy kept in copies[i] closes one, and a grown set inside free[i], the
     last set i was found free in, closes none.  Only the other steps call
-    contains_subgraph, forced through i, and record its answer.  The
-    returned set is re-checked whole before it is returned."""
+    contains_subgraph, forced through i, and record its answer.  A node is
+    pruned when a packing of the copies found so far shows that no set
+    below it beats the incumbent.  The returned set is re-checked whole
+    before it is returned."""
     if pattern.n < 1 or pattern.m < 1:
         raise InputError("pattern needs at least one edge")
     n = g.n
@@ -169,43 +184,65 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
         if not _copy_mask(g, seed_mask | (1 << v), pattern, new_vertex=v):
             seed_mask |= 1 << v
     best = [seed_mask.bit_count(), seed_mask, 0]
-    exhausted = not _ffree_branch(g, pattern, best, budget)
-    _, best_mask, nodes = best
-    if _copy_mask(g, best_mask, pattern):
+    upper = _ffree_branch(g, pattern, best, budget)
+    if _copy_mask(g, best[1], pattern):
         raise SelfCheckError("returned set contains a pattern copy")
-    status = "lower-bound" if exhausted else "optimal"
-    return SetSearchResult(VertexSet(best_mask), status, nodes)
+    return _set_result(best, upper)
+
+
+def _packing_bound(found, n, i, cur_mask, cur_size, floor):
+    """An upper bound on the sets cur_mask | S, S inside {i, ..., n-1}, that
+    hold no copy in found: cur_size + (n - i), less one for each copy of a
+    greedy packing.  A copy joins it when it lies inside cur_mask and the
+    undecided vertices and shares none of the undecided vertices that
+    earlier members use; every such set misses a distinct undecided vertex
+    of each member, since cur_mask holds no whole copy.  The packing stops
+    once the bound is down to floor."""
+    room = cur_size + n - i
+    undecided = -1 << i
+    blocked = ~cur_mask & ~undecided  # vertices below i left out
+    for copy in found:
+        if room <= floor:
+            break
+        if not copy & blocked:
+            blocked |= copy & undecided
+            room -= 1
+    return room
 
 
 def _ffree_branch(g, pattern, best, budget):
     """Decide vertices 0, 1, ... of g, each taken when it closes no pattern
     copy and then left out; best = [size, mask, nodes] is updated in place.
     The leave-out branches wait on an explicit stack, so the depth is not
-    bounded by the interpreter's recursion limit.  False once the node
-    budget runs out.
+    bounded by the interpreter's recursion limit.  None when the search
+    ends; once the node budget runs out, the largest packing bound among
+    the incumbent, the current node and the open branches.
 
     Whether grown = cur_mask | {i} holds a copy through i is answered from
     earlier steps at i when they decide it: copies[i] keeps the vertex
     masks of the copies found through i (a grown set holding one holds a
     copy), and free[i] the last grown set found to have none (a grown set
     inside it has none).  Otherwise a forced containment call decides, and
-    its answer is recorded."""
+    its answer is recorded.  found keeps every copy in the order found, for
+    the packing bound that prunes a node before it is counted."""
     n = g.n
     copies = [[] for _ in range(n)]
     free = [0] * n
+    found = []
     stack = []
     i = cur_mask = cur_size = 0
     while True:
-        if cur_size + (n - i) <= best[0] or i == n:
+        if i == n or _packing_bound(found, n, i, cur_mask, cur_size, best[0]) <= best[0]:
             if cur_size > best[0]:
                 best[0], best[1] = cur_size, cur_mask
             if not stack:
-                return True
+                return None
             i, cur_mask, cur_size = stack.pop()
             continue
         best[2] += 1
         if best[2] > budget:
-            return False
+            stack.append((i, cur_mask, cur_size))  # this node is open too
+            return max(best[0], *(_packing_bound(found, n, *node, best[0]) for node in stack))
         grown = cur_mask | (1 << i)
         copy = 0  # the vertex mask of a copy through i inside grown
         if grown & ~free[i]:
@@ -216,6 +253,7 @@ def _ffree_branch(g, pattern, best, budget):
                 copy = _copy_mask(g, grown, pattern, new_vertex=i)
                 if copy:
                     copies[i].append(copy)
+                    found.append(copy)
                 else:
                     free[i] = grown
         if not copy:

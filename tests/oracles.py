@@ -182,6 +182,41 @@ def brute_max_ffree(g, pattern):
     return 0
 
 
+def copy_vertex_masks(g, pattern):
+    """The vertex masks of every copy of pattern in g: each injection of the
+    pattern's vertices 0, 1, ..., grown one vertex at a time, keeping the
+    pattern's edges back to the vertices already placed."""
+    rows, prows = g.rows(), pattern.rows()
+    masks = set()
+
+    def grow(image):
+        k = len(image)
+        if k == pattern.n:
+            masks.add(sum(1 << v for v in image))
+            return
+        for v in range(g.n):
+            if v not in image and all((rows[v] >> image[a]) & 1 for a in bits(prows[k] & ((1 << k) - 1))):
+                grow(image + [v])
+
+    grow([])
+    return masks
+
+
+def max_copy_free_size(n, masks):
+    """Size of a largest subset of range(n) holding no mask of masks whole,
+    over all 2^n subsets: a subset is bad when it holds a mask or a bad
+    subset one vertex smaller."""
+    bad = np.zeros(1 << n, dtype=bool)
+    bad[sorted(masks)] = True
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    every = np.arange(1 << n)
+    for b in range(n):
+        view = bad.reshape(-1, 2, 1 << b)
+        view[:, 1, :] |= view[:, 0, :]
+        sizes += (every >> b) & 1
+    return int(sizes[~bad].max())
+
+
 def per_step_max_f_free_subset(g, pattern, budget=2_000_000):
     """(mask, status, nodes) of max_f_free_subset the per-step way: the
     same greedy seed, order and bound, with one recursive branch per

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -83,7 +85,62 @@ def test_search_max_ffree_summary(tmp_path, capsys):
     first, summary = out.splitlines()
     assert first == "3 optimal"
     assert f"id={c5}" in summary and "status=optimal" in summary
-    assert " nodes=" in summary
+    assert " nodes=" in summary and " upper=3 " in summary
+
+
+def test_budgeted_set_searches_print_an_upper_bound(tmp_path, capsys):
+    host = str(tmp_path / "squares.g")
+    write_graph(host, disjoint_cycles(300, 4))
+    for argv, size in [(["search", "max-ffree", "--f", "c4"], 900), (["search", "independent-set"], 600)]:
+        code, out, _ = run(argv + ["--in", host, "--budget-ms", "1"], capsys)
+        assert code == 0
+        first, summary = out.splitlines()
+        assert first == f"{size} lower-bound"
+        upper = int(re.search(r" nodes=\d+ upper=(\d+) ", summary).group(1))
+        assert size < upper <= 1200
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
+    petersen = str(tmp_path / "petersen.g")
+    write_graph(petersen, named_graph("petersen"))
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+        code = main(["search", "independent-set", "--in", petersen])
+    finally:
+        os.close(fd)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # the reader is gone before the first write, so the broken pipe shows
+    # at the flush, where the interpreter would otherwise report it on exit
+    petersen = str(tmp_path / "petersen.g")
+    write_graph(petersen, named_graph("petersen"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", "search", "max-ffree",
+                               "--in", petersen, "--f", "c5"],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -561,4 +618,7 @@ def test_set_searches_finish_on_thousands_of_vertices(tmp_path, capsys, count, l
     assert code == 0
     head, status = out.splitlines()[0].split()
     assert int(head) == size and status in ("optimal", "lower-bound")
+    # the packing bound proves the F-free answer within the budget; the
+    # independent-set search has no such bound yet
+    assert status == "optimal" or argv[1] == "independent-set"
     assert elapsed < seconds

@@ -3,11 +3,13 @@
 contains_subgraph(host, P, within=mask) must answer as a search of the
 induced subgraph on the mask would, with and without a forced vertex, and
 max_f_free_subset (which calls it at the branch steps its memo of copies
-and free sets does not decide) must find the exhaustive maximum and return
-the set, status and node count of the per-step search it replaced.  A forced search keeps one anchor per automorphism
-orbit of the pattern.  The pinned sets fix the output of `search max-ffree`
-on three 18-vertex hosts to the values of the induced-subgraph search this
-core replaced.
+and free sets does not decide, and prunes with a packing of the copies it
+found) must find the exhaustive maximum.  Wherever the unpruned per-step
+search finishes, it must return that search's set in no more nodes; under
+a budget, a set at least as large, and an upper bound on the optimum.  A
+forced search keeps one anchor per automorphism orbit of the pattern.  The
+pinned sets fix the output of `search max-ffree` on three 18-vertex hosts
+to the values of the induced-subgraph search this core replaced.
 """
 
 import random
@@ -27,7 +29,14 @@ from erdos_rogers import (
 from erdos_rogers.graphs import bits, induced_subgraph
 from erdos_rogers.search import DEFAULT_SET_BUDGET
 from erdos_rogers.subgraph import _placement_plans
-from oracles import brute_max_ffree, per_step_max_f_free_subset, perm_contains
+from oracles import (
+    brute_max_ffree,
+    brute_mis,
+    copy_vertex_masks,
+    max_copy_free_size,
+    per_step_max_f_free_subset,
+    perm_contains,
+)
 
 PATTERNS = ["k2", "p3", "k3", "c4", "c5"]
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -94,11 +103,18 @@ BUDGETS = [3, 50, DEFAULT_SET_BUDGET]
 
 
 def assert_same_search(host, name):
+    # the packing bound prunes only subtrees that cannot beat the incumbent,
+    # so the incumbents come in the unpruned search's order
     pattern = named_graph(name)
     for budget in BUDGETS:
         res = max_f_free_subset(host, pattern, budget=budget)
-        got = (res.vertex_set.mask, res.status, res.nodes)
-        assert got == per_step_max_f_free_subset(host, pattern, budget), (name, budget)
+        ref_mask, ref_status, ref_nodes = per_step_max_f_free_subset(host, pattern, budget)
+        if ref_status == "optimal":
+            assert (res.vertex_set.mask, res.status) == (ref_mask, "optimal"), (name, budget)
+            assert res.nodes <= ref_nodes, (name, budget)
+        else:
+            assert res.size >= ref_mask.bit_count(), (name, budget)
+            assert res.nodes <= budget + 1, (name, budget)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -114,6 +130,40 @@ def test_memoised_ffree_search_matches_per_step_search_seeded(seed, name):
     n = 16
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     assert_same_search(Graph(n, sorted(rnd.sample(pairs, rnd.randint(20, 60)))), name)
+
+
+def seeded_host(label, n, m):
+    rnd = random.Random(label)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return Graph(n, sorted(rnd.sample(pairs, m)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n,m,name", [(24, 110, "c4"), (26, 130, "k3")])
+def test_packing_bound_cuts_the_nodes_of_denser_hosts(seed, n, m, name):
+    host = seeded_host(f"erdos-rogers-pack/{seed}", n, m)
+    res = max_f_free_subset(host, named_graph(name))
+    ref_mask, ref_status, ref_nodes = per_step_max_f_free_subset(host, named_graph(name))
+    assert (res.vertex_set.mask, res.status, ref_status) == (ref_mask, "optimal", "optimal")
+    assert 5 * res.nodes <= ref_nodes
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("budget", [3, 50])
+def test_upper_bounds_the_optimum(seed, budget):
+    rnd = random.Random(f"erdos-rogers-upper/{seed}")
+    n = rnd.randint(8, 16)
+    host = seeded_host(f"erdos-rogers-upper/{seed}/host", n, rnd.randint(n, 4 * n))
+    for name in MEMO_PATTERNS:
+        pattern = named_graph(name)
+        res = max_f_free_subset(host, pattern, budget=budget)
+        optimum = max_copy_free_size(n, copy_vertex_masks(host, pattern))
+        assert res.size <= optimum <= res.upper, name
+        assert res.status == "lower-bound" or res.upper == res.size == optimum, name
+    res = max_independent_set(host, budget=budget)
+    optimum = brute_mis(host)
+    assert res.size <= optimum <= res.upper
+    assert res.status == "lower-bound" or res.upper == res.size == optimum
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -141,22 +191,16 @@ def test_mask_and_forced_vertex_must_lie_in_the_host():
         contains_subgraph(host, named_graph("k2"), forced_vertex=3, within=0b00111)
 
 
-def gnm_host(seed, n=18, m=46):
-    rnd = random.Random(f"erdos-rogers-pin/{seed}")
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return Graph(n, sorted(rnd.sample(pairs, m)))
-
-
 @pytest.mark.parametrize(
     "seed,name,nodes,members",
     [
-        (1, "c4", 1957, [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 17]),
-        (2, "k3", 1442, [0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 15, 16, 17]),
-        (3, "c5", 1853, [2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17]),
+        (1, "c4", 112, [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 17]),
+        (2, "k3", 57, [0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 15, 16, 17]),
+        (3, "c5", 299, [2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17]),
     ],
 )
 def test_max_ffree_sets_pinned(seed, name, nodes, members):
-    res = max_f_free_subset(gnm_host(seed), named_graph(name))
+    res = max_f_free_subset(seeded_host(f"erdos-rogers-pin/{seed}", 18, 46), named_graph(name))
     assert res.status == "optimal"
     assert sorted(res.vertex_set.members()) == members
     assert res.nodes == nodes
