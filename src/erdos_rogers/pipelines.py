@@ -44,6 +44,7 @@ from .hypergraphs import (
     vertex_clique_cover,
 )
 from .search import (
+    CYCLE_LIST_CAP,
     DEFAULT_SET_BUDGET,
     greedy_independent_set,
     list_k_cycles,
@@ -154,9 +155,6 @@ def theorem1_build(d, r, R, pattern, rng, ffree_budget=None):
 # ---------------------------------------------------------------------------
 # C_k-free subsets of K4-free graphs
 # ---------------------------------------------------------------------------
-
-CYCLE_LIST_CAP = 250_000
-
 
 def ckfree_subset(g, k, rng, budget=DEFAULT_SET_BUDGET):
     """Large vertex subset of a K4-free graph inducing no k-cycle.

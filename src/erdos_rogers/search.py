@@ -268,6 +268,9 @@ def _ffree_branch(g, pattern, best, budget):
 # cycle counting
 # ---------------------------------------------------------------------------
 
+CYCLE_LIST_CAP = 250_000
+
+
 def _check_cycle_args(k):
     if not (3 <= k <= 12):
         raise InputError("cycle length must lie in 3..12")
@@ -284,29 +287,28 @@ def list_k_cycles(g, k, through=None, cap=None):
     rows = g.rows()
     out = []
     roots = [through] if through is not None else range(g.n)
-    restrict = through is None
     for root in roots:
-        for s in bits(rows[root]):
-            if restrict and s < root:
-                continue
-            if _extend_path(rows, k, root, s, (1 << root) | (1 << s), [s], restrict, out, cap):
+        # the vertices a cycle through root may use after it
+        allowed = ~(1 << root) if through is not None else -2 << root
+        for s in bits(rows[root] & allowed):
+            if _extend_path(rows, k, root, allowed & ~(1 << s), [s], out, cap):
                 return out, True
     return out, False
 
 
-def _extend_path(rows, k, root, last, visited, path, restrict_gt, out, cap):
-    """Extend the path root, *path (ending at last) to k-cycles appended to
-    out; True once out holds cap cycles."""
-    if len(path) == k - 1:
-        if (rows[last] >> root) & 1 and path[-1] > path[0]:
-            out.append((root,) + tuple(path))
-            return cap is not None and len(out) >= cap
+def _extend_path(rows, k, root, allowed, path, out, cap):
+    """Extend the path root, *path through allowed to k-cycles appended to
+    out, closed by the common neighbours of its end and root above path[0]
+    (one orientation per cycle); True once out holds cap cycles."""
+    if len(path) == k - 2:
+        for w in bits(rows[path[-1]] & rows[root] & allowed & -(2 << path[0])):
+            out.append((root, *path, w))
+            if cap is not None and len(out) >= cap:
+                return True
         return False
-    for w in bits(rows[last] & ~visited):
-        if w == root or (restrict_gt and w < root):
-            continue
+    for w in bits(rows[path[-1]] & allowed):
         path.append(w)
-        full = _extend_path(rows, k, root, w, visited | (1 << w), path, restrict_gt, out, cap)
+        full = _extend_path(rows, k, root, allowed & ~(1 << w), path, out, cap)
         path.pop()
         if full:
             return True
@@ -524,7 +526,10 @@ def ckprop_dense_pair(g, v0, k):
     d = g.max_degree()
     if d < 2:
         raise InputError("maximum degree must be at least 2")
-    cycles, _ = list_k_cycles(g, k, through=v0)
+    cycles, truncated = list_k_cycles(g, k, through=v0, cap=CYCLE_LIST_CAP)
+    if truncated:
+        raise InputError("too many k-cycles through the root vertex to list",
+                         witness={"v0": v0, "k": k, "cap": CYCLE_LIST_CAP})
     if not cycles:
         raise InputError("no k-cycles through the root vertex", witness={"v0": v0, "k": k})
 

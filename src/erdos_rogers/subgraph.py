@@ -29,8 +29,9 @@ back into Graph, and patterns built apart (every named_graph call builds a
 new one) share their plans.
 
 Whole-host scans (within=None) try host candidates in ascending (degree,
-index) order, which fixes the embedding they report as a witness; masked
-scans, whose callers read only found/absent, take candidates in index order.
+index) order, sorting only each node's candidates, which fixes the
+embedding they report as a witness; masked scans, whose callers read only
+found/absent, take candidates in index order.
 A node budget makes "unknown" a first-class outcome: the search never lies
 about exhaustiveness.
 """
@@ -141,19 +142,17 @@ def _verify_embedding(host, edges, mapping, within, forced_vertex):
         raise SelfCheckError("embedding misses the forced vertex")
 
 
-def _place(rows, steps, image, i, used, start, within, ranked, budget, nodes, distinct):
+def _place(rows, steps, image, i, used, start, within, rank, budget, nodes, distinct):
     """Place steps i, i+1, ... of a plan by backtracking; nodes[0] counts
     candidate placements.  True once placed, False when exhausted, None
     when the budget runs out.  Placed vertices join `used` through the
-    `distinct` mask."""
+    `distinct` mask.  Candidates come in index order, or by rank[v] when
+    rank is given."""
     earlier, need = steps[i]
     allowed = start if i == 0 else within & ~used
     for j in earlier:
         allowed &= rows[image[j]]
-    if ranked is None:
-        candidates = bits(allowed)
-    else:
-        candidates = [v for v in ranked if (allowed >> v) & 1]
+    candidates = bits(allowed) if rank is None else sorted(bits(allowed), key=rank.__getitem__)
     last = i + 1 == len(steps)
     for v in candidates:
         if (rows[v] & within).bit_count() < need:
@@ -165,13 +164,13 @@ def _place(rows, steps, image, i, used, start, within, ranked, budget, nodes, di
         if last:
             return True
         sub = _place(rows, steps, image, i + 1, used | (1 << v) & distinct,
-                     start, within, ranked, budget, nodes, distinct)
+                     start, within, rank, budget, nodes, distinct)
         if sub is not False:
             return sub
     return False
 
 
-def _run_plans(rows, plans, budget, start, within, ranked, distinct):
+def _run_plans(rows, plans, budget, start, within, rank, distinct):
     """Try the placement plans in turn on a host given by its bit rows: the
     first step of a plan picks from `start`, every later one from `within`.
     Returns (status, index of the plan that placed the pattern, its map as
@@ -179,7 +178,7 @@ def _run_plans(rows, plans, budget, start, within, ranked, distinct):
     nodes = [0]
     for index, (order, steps) in enumerate(plans):
         image = [-1] * len(order)
-        ok = _place(rows, steps, image, 0, 0, start, within, ranked, budget, nodes, distinct)
+        ok = _place(rows, steps, image, 0, 0, start, within, rank, budget, nodes, distinct)
         if ok:
             mapping = [-1] * len(order)
             for p, v in zip(order, image):
@@ -206,11 +205,12 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
     rows = host.rows()
     if within is None:
         within = host.full_mask()
-        ranked = sorted(range(host.n), key=lambda v: (rows[v].bit_count(), v))
+        # (degree, index) order as one integer per vertex
+        rank = [row.bit_count() * host.n + v for v, row in enumerate(rows)]
     elif within >> host.n:
         raise InputError("vertex mask names a vertex outside the host")
     else:
-        ranked = None
+        rank = None
     if forced_vertex is not None and not (within >> forced_vertex) & 1:
         raise InputError("forced vertex lies outside the vertex mask")
     if pattern.n > within.bit_count():
@@ -218,7 +218,7 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
 
     plans = _placement_plans(pattern.n, pattern.upper_edges(), forced_vertex is not None)
     start = within if forced_vertex is None else 1 << forced_vertex
-    status, _, mapping, nodes = _run_plans(rows, plans, budget, start, within, ranked, -1)
+    status, _, mapping, nodes = _run_plans(rows, plans, budget, start, within, rank, -1)
     if status != "found":
         return SubgraphResult(status, None, nodes)
     _verify_embedding(host, pattern.upper_edges(), mapping, within, forced_vertex)

@@ -290,6 +290,40 @@ def recursive_max_independent_set(g, budget=2_000_000):
     return best[1], status, best[2]
 
 
+def recursive_list_k_cycles(g, k, through=None, cap=None):
+    """(cycles, truncated) of list_k_cycles by a DFS that extends every
+    path to k - 1 vertices after the root and then tests whether its end
+    closes the cycle: the same roots, orientation, order and cap."""
+    rows = g.rows()
+    out = []
+    roots = [through] if through is not None else range(g.n)
+    restrict = through is None
+    for root in roots:
+        for s in bits(rows[root]):
+            if restrict and s < root:
+                continue
+            if _extend_path(rows, k, root, s, (1 << root) | (1 << s), [s], restrict, out, cap):
+                return out, True
+    return out, False
+
+
+def _extend_path(rows, k, root, last, visited, path, restrict_gt, out, cap):
+    if len(path) == k - 1:
+        if (rows[last] >> root) & 1 and path[-1] > path[0]:
+            out.append((root,) + tuple(path))
+            return cap is not None and len(out) >= cap
+        return False
+    for w in bits(rows[last] & ~visited):
+        if w == root or (restrict_gt and w < root):
+            continue
+        path.append(w)
+        full = _extend_path(rows, k, root, w, visited | (1 << w), path, restrict_gt, out, cap)
+        path.pop()
+        if full:
+            return True
+    return False
+
+
 def disjoint_cycles(count, length):
     """count vertex-disjoint cycles of the given length, cycle c on the
     vertices c * length to c * length + length - 1."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from erdos_rogers import Hypergraph, read_graph, write_graph, named_graph
+from erdos_rogers import Hypergraph, complete_bipartite, read_graph, write_graph, named_graph
 from erdos_rogers.hypergraphs import write_hypergraph
 from erdos_rogers.cli import main
 from oracles import circulant_regular, disjoint_cycles
@@ -415,6 +415,21 @@ def test_search_ckprop_root_out_of_range_exit_3(petersen_file, capsys, v0):
     code, out, err = run(["search", "ckprop", "--in", petersen_file, "--v0", str(v0), "--k", "5"], capsys)
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "root vertex out of range", "witness": {"v0": v0, "n": 10}}
+
+
+def test_search_ckprop_refuses_past_the_cycle_cap(tmp_path):
+    # K_{20,20} has about 8.7 * 10^10 10-cycles through a vertex: the listing
+    # stops at the cap and the command refuses instead of running on
+    host = str(tmp_path / "k2020.g")
+    write_graph(host, complete_bipartite(20, 20))
+    proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", "search", "ckprop",
+                           "--in", host, "--v0", "0", "--k", "10"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert json.loads(proc.stderr) == {
+        "error": "too many k-cycles through the root vertex to list",
+        "witness": {"v0": 0, "k": 10, "cap": 250_000},
+    }
 
 
 def test_search_drc_no_retries_exit_3(petersen_file, capsys):

@@ -38,6 +38,7 @@ from oracles import (
     find_any_sunflower,
     gnp_graph,
     perm_contains,
+    recursive_list_k_cycles,
     recursive_max_independent_set,
     rescan_greedy_independent_set,
     seeded_sample,
@@ -200,6 +201,17 @@ def test_list_k_cycles_through_filter():
 def test_list_k_cycles_cap():
     cycles, truncated = list_k_cycles(complete_graph(8), 4, cap=5)
     assert truncated and len(cycles) == 5
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_list_k_cycles_matches_recursive_reference(n):
+    # same tuples, order and truncation as the DFS that tests each path's
+    # end for closing, for every root choice and cap
+    g = gnp_graph(n, 0.35, SeededRng(n, "cycle-list"))
+    for k in range(3, 9):
+        for through in [None, *range(n)]:
+            for cap in (None, 1, 3, 17):
+                assert list_k_cycles(g, k, through, cap) == recursive_list_k_cycles(g, k, through, cap)
 
 
 def test_cycles_are_genuine():

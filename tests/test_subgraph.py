@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import pytest
 
@@ -87,6 +88,26 @@ def test_tiny_budget_reports_unknown():
     res = contains_subgraph(host, petersen_graph(), budget=5)
     assert res.status == "unknown"
     assert not res.found
+
+
+# sha256 of (status, embedding, nodes) of every whole-host call below, as
+# computed when whole-host scans still filtered the full ranked vertex list
+# at every node; candidates sorted by rank must give the same bytes
+UNMASKED_SHA256 = "052898b76904f05310dc8653be7869e39b3ee4d05502419255ba8a1e70f0a39f"
+
+
+def test_unmasked_containment_pinned():
+    digest = hashlib.sha256()
+    patterns = [named_graph(name) for name in ("k3", "c4", "c5", "k4", "p3")]
+    for n in (1, 2, 5, 8, 13, 21, 30, 40):
+        for p in (0.1, 0.3, 0.6):
+            host = gnp_graph(n, p, SeededRng(n, f"unmasked-pin-{p}"))
+            for pattern in patterns:
+                for budget in (3, 40, 10**6):
+                    for forced in (None, 0, n // 2, n - 1):
+                        res = contains_subgraph(host, pattern, budget=budget, forced_vertex=forced)
+                        digest.update(repr((res.status, res.embedding, res.nodes)).encode())
+    assert digest.hexdigest() == UNMASKED_SHA256
 
 
 def test_empty_pattern_always_found():
