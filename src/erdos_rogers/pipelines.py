@@ -263,6 +263,47 @@ def ckfree_subset(g, k, rng, budget=DEFAULT_SET_BUDGET):
     return VertexSet(best_mask), cert
 
 
+def _ksfree_solve(h, level, stream, k, budget, trace):
+    """The mask of a C_k-free set of the K_level-free graph h, descending
+    as ksfree_recursion describes; each step appends its record to trace."""
+    if level == 4:
+        vs, sub_cert = ckfree_subset(h, k, stream, budget=budget)
+        trace.append(
+            {
+                "s": 4,
+                "action": "base",
+                "n": h.n,
+                "size": len(vs),
+                "branch": sub_cert.measurements["branch"],
+            }
+        )
+        return vs.mask
+    lower = contains_subgraph(h, complete_graph(level - 1))
+    if lower.status == "absent":
+        trace.append({"s": level, "action": "delegate", "n": h.n})
+        return _ksfree_solve(h, level - 1, stream, k, budget, trace)
+    v = max(range(h.n), key=lambda u: (h.degree(u), -u))
+    sub, mapping = induced_subgraph_with_map(h, h.row(v))
+    inner_mask = _ksfree_solve(sub, level - 1, stream.substream(f"descend-{level}"), k, budget, trace)
+    mapped = 0
+    for u in bits(inner_mask):
+        mapped |= 1 << mapping[u]
+    greedy = greedy_independent_set(h).mask
+    chosen = mapped if mapped.bit_count() >= greedy.bit_count() else greedy
+    trace.append(
+        {
+            "s": level,
+            "action": "descend",
+            "vertex": v,
+            "degree": h.degree(v),
+            "n": h.n,
+            "descent_size": mapped.bit_count(),
+            "greedy_size": greedy.bit_count(),
+        }
+    )
+    return chosen
+
+
 def ksfree_recursion(g, s, k, rng, budget=DEFAULT_SET_BUDGET):
     """C_k-free subset of a K_s-free graph by neighborhood descent.
 
@@ -280,46 +321,7 @@ def ksfree_recursion(g, s, k, rng, budget=DEFAULT_SET_BUDGET):
     cert.set_param("n", g.n)
     cert.record_rng(rng)
     trace = []
-
-    def solve(h, level, stream):
-        if level == 4:
-            vs, sub_cert = ckfree_subset(h, k, stream, budget=budget)
-            trace.append(
-                {
-                    "s": 4,
-                    "action": "base",
-                    "n": h.n,
-                    "size": len(vs),
-                    "branch": sub_cert.measurements["branch"],
-                }
-            )
-            return vs.mask
-        lower = contains_subgraph(h, complete_graph(level - 1))
-        if lower.status == "absent":
-            trace.append({"s": level, "action": "delegate", "n": h.n})
-            return solve(h, level - 1, stream)
-        v = max(range(h.n), key=lambda u: (h.degree(u), -u))
-        sub, mapping = induced_subgraph_with_map(h, h.row(v))
-        inner_mask = solve(sub, level - 1, stream.substream(f"descend-{level}"))
-        mapped = 0
-        for u in bits(inner_mask):
-            mapped |= 1 << mapping[u]
-        greedy = greedy_independent_set(h).mask
-        chosen = mapped if mapped.bit_count() >= greedy.bit_count() else greedy
-        trace.append(
-            {
-                "s": level,
-                "action": "descend",
-                "vertex": v,
-                "degree": h.degree(v),
-                "n": h.n,
-                "descent_size": mapped.bit_count(),
-                "greedy_size": greedy.bit_count(),
-            }
-        )
-        return chosen
-
-    mask = solve(g, s, rng)
+    mask = _ksfree_solve(g, s, rng, k, budget, trace)
     if _has_k_cycle(g, mask, k):
         raise SelfCheckError("recursion output induces a k-cycle")
     cert.add_measurement("trace", trace)
@@ -372,7 +374,9 @@ def random_girth_hypergraph(t, r, rng):
     The sample takes one random() draw of the "edges" substream per
     r-subset, in `combinations(range(t), r)` order, and keeps the subset
     when the draw falls below p; `bernoulli_indices` finds those draws and
-    the kept indices are unranked in the same order."""
+    the kept indices are unranked in the same order.  An expected edge
+    count C(t, r) p below 1 is refused before any draw: the sample would
+    be empty or nearly so, and an edgeless h* passes every audit."""
     if r < 2:
         raise InputError("uniformity r >= 2 required")
     if t < r:
@@ -380,6 +384,14 @@ def random_girth_hypergraph(t, r, rng):
     p = float(t) ** (1.0 - r + 1.0 / (2.0 * r))
     if p > 1.0:
         raise InputError("edge probability exceeds 1", witness={"p": p})
+    # in logs: C(t, r) can pass the float range while p is still above 0
+    log_expected = math.log(math.comb(t, r)) + math.log(p) if p > 0.0 else -math.inf
+    if log_expected < 0.0:
+        expected = math.exp(log_expected)
+        raise InputError(
+            f"expected edge count C(t, r) p = {expected:.3g} is below 1",
+            witness={"t": t, "r": r, "p": p, "expected_edges": expected},
+        )
 
     stream = rng.substream("edges")
     subsets = combinations(range(t), r)
@@ -726,6 +738,43 @@ def _known_answer(answers, nbhd, twins):
     return 0
 
 
+def _degree_relabelling(rows):
+    """The graph with these rows relabelled in order of the multiset of
+    each vertex's neighbour degrees (which holds its degree), then index:
+    the tuple of the new rows, row i for the i-th vertex of that order.
+    The multiset is one integer, the count of neighbours of degree d in
+    digit d of base 2^b; 2^b > n exceeds every count, so no digit carries.
+    The index sits in the low b bits of the sort key."""
+    n = len(rows)
+    b = n.bit_length()
+    weight = [1 << b * r.bit_count() for r in rows]
+    order = []
+    for v, row in enumerate(rows):
+        s = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            s += weight[low.bit_length() - 1]
+            rest ^= low
+        order.append(s << b | v)
+    order.sort()
+    mask = (1 << b) - 1
+    order = [key & mask for key in order]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    label = []
+    for v in order:
+        rest = rows[v]
+        row = 0
+        while rest:
+            low = rest & -rest
+            row |= 1 << pos[low.bit_length() - 1]
+            rest ^= low
+        label.append(row)
+    return tuple(label)
+
+
 def gfree_graph_reps(g_pattern, n, budget=None):
     """All g-free graphs on exactly n vertices up to isomorphism, built by
     vertex-by-vertex augmentation with canonical-form deduplication.
@@ -735,8 +784,19 @@ def gfree_graph_reps(g_pattern, n, budget=None):
     order, and every one counts against the budget.  A neighbourhood whose
     answer _known_answer decides is skipped: a found one adds nothing, and
     an absent one is a twin swap of an earlier child whose key is already
-    in `seen`.  So containment and canonical_form run only on the rest, and
-    the graphs kept are the ones trying every neighbourhood would keep."""
+    in `seen`.  The rest get a containment search; it only has to tell
+    found from absent, so it runs masked, in index order.
+
+    An absent child is then relabelled by _degree_relabelling.  A
+    relabelling is an isomorphism, so two children with the same relabelled
+    rows are isomorphic, whatever the order was built from: the invariants
+    only decide how often isomorphic children meet.  A child whose
+    relabelled rows an earlier child of this level had is therefore a
+    duplicate, its key already in `seen`, and it is skipped.  Only the
+    others are keyed by canonical_form.  So the graphs kept are the ones
+    trying every neighbourhood would keep: the first child per key, in the
+    order of the keys.  Bucketing by an invariant would save no call, since
+    every class needs its key for that order and every duplicate a proof."""
     if n < 1:
         raise InputError("n >= 1 required")
     reps = [Graph(1, [])]
@@ -745,6 +805,8 @@ def gfree_graph_reps(g_pattern, n, budget=None):
     exact = True
     for size in range(1, n):
         seen = {}
+        labels = set()
+        full = (2 << size) - 1
         for base in reps:
             base_rows = base.rows()
             twins = [
@@ -764,7 +826,7 @@ def gfree_graph_reps(g_pattern, n, budget=None):
                     answers[nbhd] = known
                     continue
                 cand = _with_new_vertex(base_rows, nbhd)
-                hit = contains_subgraph(cand, g_pattern, forced_vertex=size)
+                hit = contains_subgraph(cand, g_pattern, forced_vertex=size, within=full)
                 if hit.status == "found":
                     answers[nbhd] = _FOUND
                     continue
@@ -772,6 +834,10 @@ def gfree_graph_reps(g_pattern, n, budget=None):
                     exact = False
                     continue
                 answers[nbhd] = _ABSENT
+                label = _degree_relabelling(cand.rows())
+                if label in labels:
+                    continue
+                labels.add(label)
                 key = canonical_form(cand)
                 if key not in seen:
                     seen[key] = cand
@@ -791,7 +857,14 @@ def brute_force_f(f_pattern, g_pattern, n, budget=None):
     When the enumeration budget runs out below n vertices, the value is
     None: a minimum over smaller graphs says nothing about n.  When it runs
     out inside level n, the value is an upper bound, the minimum over the
-    n-vertex graphs seen.  exact is False in both cases."""
+    n-vertex graphs seen.  exact is False in both cases.
+
+    The minimum needs each graph's optimum only where it beats the running
+    minimum best.  So after the first graph a decision search asks whether
+    an f-free set of best vertices exists (max_f_free_subset with
+    at_least=best); a graph that has one cannot lower the minimum.  Only a
+    "no" runs the full search, and it sets the new minimum.  The witness is
+    still the first graph with the smallest value."""
     if f_pattern.m < 1:
         raise InputError("f needs at least one edge")
     if n > 9:
@@ -802,6 +875,8 @@ def brute_force_f(f_pattern, g_pattern, n, budget=None):
     best = None
     witness = None
     for h in reps:
+        if best is not None and max_f_free_subset(h, f_pattern, at_least=best).size >= best:
+            continue
         res = max_f_free_subset(h, f_pattern)
         if res.status != "optimal":
             raise SelfCheckError("subset search ran out of budget on a graph of at most 9 vertices")

@@ -160,7 +160,7 @@ def _copy_mask(host, sub_mask, pattern, new_vertex=None):
     return copy
 
 
-def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
+def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET, at_least=None):
     """Largest vertex set whose induced subgraph contains no copy of the
     pattern.  With pattern K2 this coincides with max_independent_set; the
     two engines share no code and are cross-checked in the tests.
@@ -174,17 +174,31 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET):
     contains_subgraph, forced through i, and record its answer.  A node is
     pruned when a packing of the copies found so far shows that no set
     below it beats the incumbent.  The returned set is re-checked whole
-    before it is returned."""
+    before it is returned.
+
+    With at_least = k, the search decides only whether a pattern-free set
+    of k vertices exists.  It skips the greedy seed, starts from an
+    incumbent of size k - 1 that holds no set, and stops at the first set
+    of at least k vertices it finds.  The result holds that set, or, when
+    the search ends without one, the empty set with upper = k - 1; it is
+    "optimal" only when the set found closed the last open branch."""
     if pattern.n < 1 or pattern.m < 1:
         raise InputError("pattern needs at least one edge")
     n = g.n
-    # greedy seed in ascending-degree order
-    seed_mask = 0
-    for v in sorted(range(n), key=lambda v: (g.degree(v), v)):
-        if not _copy_mask(g, seed_mask | (1 << v), pattern, new_vertex=v):
-            seed_mask |= 1 << v
-    best = [seed_mask.bit_count(), seed_mask, 0]
-    upper = _ffree_branch(g, pattern, best, budget)
+    if at_least is None:
+        # greedy seed in ascending-degree order
+        seed_mask = 0
+        for v in sorted(range(n), key=lambda v: (g.degree(v), v)):
+            if not _copy_mask(g, seed_mask | (1 << v), pattern, new_vertex=v):
+                seed_mask |= 1 << v
+        best = [seed_mask.bit_count(), seed_mask, 0]
+        goal = n + 1
+    else:
+        best = [at_least - 1, 0, 0]
+        goal = at_least
+    upper = _ffree_branch(g, pattern, best, budget, goal)
+    if upper is None and best[1].bit_count() < best[0]:
+        upper = best[0]  # ended below the given incumbent: no set of at_least
     if _copy_mask(g, best[1], pattern):
         raise SelfCheckError("returned set contains a pattern copy")
     return _set_result(best, upper)
@@ -210,13 +224,14 @@ def _packing_bound(found, n, i, cur_mask, cur_size, floor):
     return room
 
 
-def _ffree_branch(g, pattern, best, budget):
+def _ffree_branch(g, pattern, best, budget, goal):
     """Decide vertices 0, 1, ... of g, each taken when it closes no pattern
     copy and then left out; best = [size, mask, nodes] is updated in place.
     The leave-out branches wait on an explicit stack, so the depth is not
     bounded by the interpreter's recursion limit.  None when the search
-    ends; once the node budget runs out, the largest packing bound among
-    the incumbent, the current node and the open branches.
+    ends; once the node budget runs out, or the incumbent reaches goal
+    with branches still open, the largest packing bound among the
+    incumbent, the current node and the open branches.
 
     Whether grown = cur_mask | {i} holds a copy through i is answered from
     earlier steps at i when they decide it: copies[i] keeps the vertex
@@ -237,6 +252,8 @@ def _ffree_branch(g, pattern, best, budget):
                 best[0], best[1] = cur_size, cur_mask
             if not stack:
                 return None
+            if best[0] >= goal:
+                return max(best[0], *(_packing_bound(found, n, *node, best[0]) for node in stack))
             i, cur_mask, cur_size = stack.pop()
             continue
         best[2] += 1
@@ -614,6 +631,34 @@ def validate_sunflower(family, flower, m):
             raise SelfCheckError("two petals intersect outside the core")
 
 
+def _extract_sunflower(sets, m):
+    """A sunflower with m petals among sets, or None: a maximal pairwise
+    disjoint subfamily, else the link of the most frequent element of its
+    union, searched the same way."""
+    disjoint = []
+    for s in sets:
+        if all(s.isdisjoint(t) for t in disjoint):
+            disjoint.append(s)
+            if len(disjoint) == m:
+                return Sunflower(frozenset(), disjoint)
+    universe = set()
+    for s in disjoint:
+        universe |= s
+    if not universe:
+        return None
+    counts = {x: 0 for x in universe}
+    for s in sets:
+        for x in s:
+            if x in counts:
+                counts[x] += 1
+    x = min(counts, key=lambda el: (-counts[el], el))
+    link = [s - {x} for s in sets if x in s]
+    inner = _extract_sunflower(link, m)
+    if inner is None:
+        return None
+    return Sunflower(inner.core | {x}, [p | {x} for p in inner.petals])
+
+
 def erdos_rado_sunflower(family, m):
     """Find a sunflower with m petals, or None.
 
@@ -628,31 +673,7 @@ def erdos_rado_sunflower(family, m):
     if fam and len(set(len(s) for s in fam)) != 1:
         raise InputError("family must be uniform (equal set sizes)")
 
-    def extract(sets):
-        disjoint = []
-        for s in sets:
-            if all(s.isdisjoint(t) for t in disjoint):
-                disjoint.append(s)
-                if len(disjoint) == m:
-                    return Sunflower(frozenset(), disjoint)
-        universe = set()
-        for s in disjoint:
-            universe |= s
-        if not universe:
-            return None
-        counts = {x: 0 for x in universe}
-        for s in sets:
-            for x in s:
-                if x in counts:
-                    counts[x] += 1
-        x = min(counts, key=lambda el: (-counts[el], el))
-        link = [s - {x} for s in sets if x in s]
-        inner = extract(link)
-        if inner is None:
-            return None
-        return Sunflower(inner.core | {x}, [p | {x} for p in inner.petals])
-
-    flower = extract(fam)
+    flower = _extract_sunflower(fam, m)
     if flower is not None:
         validate_sunflower(fam, flower, m)
     return flower

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from erdos_rogers import Graph, InputError, VertexSet, contains_subgraph
+from erdos_rogers import Graph, InputError, VertexSet, contains_subgraph, max_f_free_subset
 from erdos_rogers.graphs import bits, find_short_cycle
 from erdos_rogers.hypergraphs import LooseCycle
 from erdos_rogers.pipelines import canonical_form
@@ -609,6 +609,21 @@ def unpruned_gfree_graph_reps(g_pattern, n, budget=None):
         if not exact:
             break
     return reps, exact, counts
+
+
+def full_search_brute_force_f(f_pattern, g_pattern, n):
+    """f_{F,G}(n) as (value, witness edges, level counts) from a full
+    max_f_free_subset search on every representative of
+    unpruned_gfree_graph_reps; the witness is the first representative of
+    the smallest value."""
+    reps, _, counts = unpruned_gfree_graph_reps(g_pattern, n)
+    best = witness = None
+    for h in reps:
+        res = max_f_free_subset(h, f_pattern)
+        assert res.status == "optimal"
+        if best is None or res.size < best:
+            best, witness = res.size, h
+    return best, witness.edges(), counts
 
 
 def numpy_rng(rng):

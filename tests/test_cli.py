@@ -526,6 +526,19 @@ def test_pipeline_ckfree_precondition_exit_3(tmp_path, capsys):
     assert "witness" in json.loads(err)
 
 
+def test_theorem4_part2_refuses_an_expected_empty_sample(tmp_path, capsys):
+    # Petersen at t = 30 expects C(30, 9) 30^(-8 + 1/18) = 2.6e-5 edges; the
+    # refusal comes before the 14.3M draws the sample would take
+    start = time.perf_counter()
+    code, out, err = run(["construct", "theorem4-part2", "--g", "petersen", "--t", "30",
+                          "--out", str(tmp_path / "p.g")], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    witness = json.loads(err)["witness"]
+    assert witness["expected_edges"] == pytest.approx(2.634e-5, rel=1e-3)
+    assert not (tmp_path / "p.g").exists()
+
+
 def test_require_seed_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REQUIRE_SEED", "1")
     out = str(tmp_path / "g.hg")

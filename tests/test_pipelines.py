@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from erdos_rogers import (
     complete_graph,
     cycle_graph,
     efr_hypergraph,
+    erdos_rado_sunflower,
     gfree_graph_reps,
     graph_to_text,
     ksfree_recursion,
@@ -35,9 +37,16 @@ from erdos_rogers import (
 )
 from erdos_rogers.graphs import Graph, induced_subgraph, triangle_witness
 from erdos_rogers.hypergraphs import hypergraph_girth_at_least
+from erdos_rogers import pipelines
 from erdos_rogers.pipelines import canonical_form, sunflower_budget
 from erdos_rogers.subgraph import contains_subgraph
-from oracles import complete_multipartite, gnp_graph, perm_contains, unpruned_gfree_graph_reps
+from oracles import (
+    complete_multipartite,
+    full_search_brute_force_f,
+    gnp_graph,
+    perm_contains,
+    unpruned_gfree_graph_reps,
+)
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -321,6 +330,24 @@ def test_ksfree_requires_s_at_least_4():
         ksfree_recursion(cycle_graph(5), 3, 3, SeededRng(0, "ks"))
 
 
+def test_recursive_extractors_leave_no_reference_cycles():
+    # the ksfree descent and the sunflower extraction recurse through
+    # module-level helpers, so a call leaves nothing for the cyclic collector,
+    # whether it descends, delegates, finds a flower with a core or none
+    ksfree_recursion(complete_bipartite(6, 6), 5, 3, SeededRng(0, "ks"))  # fill the plan cache
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(ksfree_recursion(complete_multipartite([5, 5, 5, 5]), 5, 3, SeededRng(0, "ks"))[0]) == 6
+        ksfree_recursion(complete_bipartite(6, 6), 5, 3, SeededRng(0, "ks"))
+        flower = erdos_rado_sunflower([{0, 1, 2}, {0, 3, 4}, {0, 5, 6}], 3)
+        assert flower.core == {0}
+        assert erdos_rado_sunflower([{0, 1}, {0, 2}, {1, 2}], 3) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # clone graphs
 # ---------------------------------------------------------------------------
@@ -345,6 +372,30 @@ def test_gplus_rejects_clique():
 # ---------------------------------------------------------------------------
 # girth hypergraphs and s-property statistics
 # ---------------------------------------------------------------------------
+
+class _NoDraws:
+    def substream(self, label):
+        raise AssertionError("drew from the stream")
+
+
+@pytest.mark.parametrize(
+    "t,r,expected",
+    # 10^17: C(t, 20) passes the float range while p = 2.5e-323 does not
+    # underflow yet, and at r = 21 p is 0
+    [(30, 9, 2.634e-5), (7, 3, 0.9879), (12, 4, 0.3908), (10**17, 20, 0.1015), (10**17, 21, 0.0)],
+)
+def test_random_girth_hypergraph_refuses_fewer_than_one_expected_edge(t, r, expected):
+    with pytest.raises(InputError) as err:
+        random_girth_hypergraph(t, r, _NoDraws())
+    assert err.value.witness["expected_edges"] == pytest.approx(expected, rel=1e-3)
+    assert f"{err.value.witness['expected_edges']:.3g}" in str(err.value)
+
+
+def test_random_girth_hypergraph_samples_from_one_expected_edge():
+    # C(8, 3) 8^(-2 + 1/6) = 1.24 expected edges: sampled, not refused
+    h, params = random_girth_hypergraph(8, 3, SeededRng(0, "gh"))
+    assert params.initial_edges >= h.m
+
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_girth_hypergraph_properties(seed):
@@ -551,14 +602,32 @@ def test_triangle_free_rep_counts(n, count):
     ids=["k2", "p3", "k3", "c4", "c5", "k13", "k2+k1"],
 )
 def test_gfree_graph_reps_skips_change_nothing(pattern):
-    # the skipped neighbourhoods still count against the budget, and the
-    # first g-free child per key is still the one kept
-    for n in range(1, 8):
-        for budget in (1, 7, 50, 300, 2000, None):
-            reps, exact, counts = gfree_graph_reps(pattern, n, budget=budget)
-            ref_reps, ref_exact, ref_counts = unpruned_gfree_graph_reps(pattern, n, budget=budget)
-            assert [h.edges() for h in reps] == [h.edges() for h in ref_reps], (n, budget)
-            assert (exact, counts) == (ref_exact, ref_counts), (n, budget)
+    # the skipped neighbourhoods, whether _known_answer or the relabel filter
+    # decides them, still count against the budget, and the first g-free
+    # child per key is still the one kept
+    cases = [(n, budget) for n in range(1, 8) for budget in (1, 7, 50, 300, 2000, None)]
+    if pattern in (named_graph("k3"), named_graph("c4")):
+        cases.append((8, None))
+    for n, budget in cases:
+        reps, exact, counts = gfree_graph_reps(pattern, n, budget=budget)
+        ref_reps, ref_exact, ref_counts = unpruned_gfree_graph_reps(pattern, n, budget=budget)
+        assert [h.edges() for h in reps] == [h.edges() for h in ref_reps], (n, budget)
+        assert (exact, counts) == (ref_exact, ref_counts), (n, budget)
+
+
+def test_relabel_filter_bounds_the_canonical_forms(monkeypatch):
+    # every triangle-free graph on at most 8 vertices is keyed, 581 classes,
+    # but of the 3,370 absent children the relabel filter lets through 1,027
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(pipelines, "canonical_form", counting)
+    reps, exact, counts = gfree_graph_reps(named_graph("k3"), 8)
+    assert exact and counts == [1, 2, 3, 7, 14, 38, 107, 410]
+    assert sum(counts[1:]) <= len(calls) <= 1_050
 
 
 @pytest.mark.parametrize("g,value,level_count", [("k3", 4, 1897), ("c4", 3, 1230)])
@@ -569,6 +638,18 @@ def test_brute_force_f_at_nine_vertices(g, value, level_count):
     assert res.exact
     assert res.value == value
     assert res.level_counts[-1] == level_count
+
+
+@pytest.mark.parametrize("g", ["k3", "c4"])
+@pytest.mark.parametrize("f", ["k2", "p3", "c4", "c5"])
+def test_brute_force_f_matches_the_full_search(f, g):
+    # the decision searches give the value, witness and counts of a full
+    # search on every representative of the unpruned enumeration
+    for n in range(1, 8):
+        res = brute_force_f(named_graph(f), named_graph(g), n)
+        ref = full_search_brute_force_f(named_graph(f), named_graph(g), n)
+        assert res.exact
+        assert (res.value, res.witness_edges, res.level_counts) == ref, n
 
 
 @pytest.mark.parametrize("n,value", [(2, 1), (5, 2), (8, 3)])

@@ -13,6 +13,7 @@ from erdos_rogers import (
     complete_graph,
     cycle_graph,
     greedy_independent_set,
+    induced_subgraph,
     list_k_cycles,
     max_f_free_subset,
     max_independent_set,
@@ -34,9 +35,11 @@ from oracles import (
     brute_max_ffree,
     brute_mis,
     circulant_regular,
+    copy_vertex_masks,
     disjoint_cycles,
     find_any_sunflower,
     gnp_graph,
+    max_copy_free_size,
     perm_contains,
     recursive_list_k_cycles,
     recursive_max_independent_set,
@@ -166,10 +169,29 @@ def test_ffree_matches_brute_force(seed):
     res = max_f_free_subset(g, pattern)
     assert res.size == brute_max_ffree(g, pattern)
     # returned set must itself be pattern-free
-    from erdos_rogers.graphs import induced_subgraph
-
     sub = induced_subgraph(g, sorted(res.vertex_set.members()))
     assert not perm_contains(sub, pattern)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ffree_decision_search(seed):
+    # at_least = k answers whether a pattern-free set of k vertices exists:
+    # yes with such a set, no with the empty set and upper = k - 1
+    rng = SeededRng(seed, "ffree-decide")
+    n = 8 + seed % 4
+    g = gnp_graph(n, 0.4, rng.substream("host"))
+    pattern = named_graph(["k2", "p3", "k3", "c4", "c5"][seed % 5])
+    opt = max_copy_free_size(n, copy_vertex_masks(g, pattern))
+    for k in range(1, n + 2):
+        res = max_f_free_subset(g, pattern, at_least=k)
+        assert (res.size >= k) == (opt >= k), k
+        assert res.size <= opt and res.upper >= opt
+        if res.size < k:
+            assert (res.size, res.status, res.upper) == (0, "lower-bound", k - 1)
+        elif res.status == "optimal":
+            assert res.size == opt
+        sub = induced_subgraph(g, sorted(res.vertex_set.members()))
+        assert not perm_contains(sub, pattern)
 
 
 # ---------------------------------------------------------------------------
