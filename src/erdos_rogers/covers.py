@@ -18,7 +18,8 @@ witness of a failed check; on the theorem-1 cover at (2,65,6) its dict
 holds 242k tuples.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
+from operator import lt
 
 from .errors import InputError
 
@@ -92,20 +93,34 @@ def _first_shared_pair(sets):
     return seen, None
 
 
+def _capped_degrees(sets, n):
+    """The number of the sets through each vertex of range(n), counted up
+    to 2, in a bytearray: one byte per vertex tells a vertex where two sets
+    meet from one that lies in a single set."""
+    deg = bytearray(n)
+    for v in chain.from_iterable(sets):
+        if deg[v] < 2:
+            deg[v] += 1
+    return deg
+
+
 def _later_meeting(sets, inc):
     """For i from the last set down, the set of indices k > i of the sets
     that meet set i.  It fills inc[v] with the sets through v in
-    descending order as it goes; inc starts as [()] * n, so that only the
-    vertices in use get a list of their own."""
+    descending order as it goes, for each vertex v in at least two sets;
+    inc starts as [()] * n, and a vertex in fewer sets keeps its (), as it
+    adds nothing to a meeting set or to sum_v C(deg v, 2)."""
+    deg = _capped_degrees(sets, len(inc))
     for i in range(len(sets) - 1, -1, -1):
         later = set()
         for v in sets[i]:
-            through = inc[v]
-            if through:
-                later.update(through)
-                through.append(i)
-            else:
-                inc[v] = [i]
+            if deg[v] > 1:
+                through = inc[v]
+                if through:
+                    later.update(through)
+                    through.append(i)
+                else:
+                    inc[v] = [i]
         yield later
 
 
@@ -123,10 +138,11 @@ def _shares_a_pair(sets, n):
 
 
 def _sorted_cliques(cliques, n):
-    """Each clique as a sorted tuple of distinct vertices in range(n)."""
+    """Each clique as a sorted tuple of distinct vertices in range(n); a
+    clique given as a strictly increasing tuple is kept as it is."""
     out = []
     for c in cliques:
-        t = tuple(sorted(set(c)))
+        t = c if type(c) is tuple and all(map(lt, c, c[1:])) else tuple(sorted(set(c)))
         if t and (t[0] < 0 or t[-1] >= n):
             raise InputError("cover clique vertex out of range", witness={"clique": len(out), "n": n})
         out.append(t)

@@ -17,6 +17,7 @@ from operator import add, mul
 
 from .certificates import Certificate
 from .errors import InputError
+from .graphs import MAX_FILE_VERTICES
 from .hypergraphs import Hypergraph, hypergraph_is_triangle_free
 
 
@@ -73,16 +74,33 @@ class EFRInstance:
         return f"EFRInstance(d={self.d}, r={self.r}, R={self.R}, m={self.hypergraph.m})"
 
 
+def _declared_n_fits(d, r, R):
+    """Whether sum_{i=1..R} (i r)^d, d >= 2, is at most MAX_FILE_VERTICES.
+    The largest term (R r)^d is compared in logs first, so a large d never
+    forms the power; past that test each term is below 2.8 MAX_FILE_VERTICES
+    and R r below 5,300, and the exact sum decides."""
+    if d * math.log(R * r) > math.log(MAX_FILE_VERTICES) + 1.0:
+        return False
+    return sum((i * r) ** d for i in range(1, R + 1)) <= MAX_FILE_VERTICES
+
+
 def efr_hypergraph(d, r, R):
     """Build the R-partite direction hypergraph for (d, r, R).
 
     Rejects d = 1 (directions on a 1-sphere are a single point and the
-    collinearity argument collapses) and any (d, r) with no sphere points.
+    collinearity argument collapses), a declared vertex count
+    sum_i (i r)^d above MAX_FILE_VERTICES, before any point is listed, and
+    any (d, r) with no sphere points.
     """
     if d < 2:
         raise InputError("dimension d >= 2 required")
     if r < 1 or R < 2:
         raise InputError("need r >= 1 and R >= 2")
+    if not _declared_n_fits(d, r, R):
+        raise InputError(
+            f"declared vertex count sum_i (i r)^d exceeds {MAX_FILE_VERTICES}",
+            witness={"d": d, "r": r, "R": R, "max_vertices": MAX_FILE_VERTICES},
+        )
     sphere = sphere_points(d, r)
     if not sphere:
         raise InputError(

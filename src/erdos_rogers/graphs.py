@@ -9,7 +9,7 @@ n n-bit rows, while the searches read rows.  Graphs are immutable, so they
 can be shared freely between search engines.
 """
 
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from operator import itemgetter
 
 from .errors import FormatError, InputError, SelfCheckError
@@ -94,16 +94,22 @@ class Graph:
     def __init__(self, n, edges=()):
         """Pairs may come in either orientation and repeat; a self-loop or
         an endpoint outside range(n) is refused, naming the first such
-        pair."""
+        pair.  A given tuple (u, v) with u < v is kept as it is, so that a
+        large edge list is not held twice while the graph is built."""
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         upper = set()
-        for u, v in edges:
+        for pair in edges:
+            u, v = pair
             if u == v:
                 raise InputError("self-loop rejected", witness={"vertex": u})
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError("edge endpoint out of range", witness={"edge": [u, v]})
-            upper.add((u, v) if u < v else (v, u))
+            if v < u:
+                pair = (v, u)
+            elif type(pair) is not tuple:
+                pair = (u, v)
+            upper.add(pair)
         self.n = n
         self._edges = tuple(sorted(upper))
         self._m = len(self._edges)
@@ -529,9 +535,10 @@ def triangle_witness(g):
 # ---------------------------------------------------------------------------
 
 def graph_to_text(g):
-    lines = [f"{g.n} {g.m}"]
-    lines.extend([f"{u} {v}" for u, v in g.upper_edges()])
-    return "\n".join(lines) + "\n"
+    """The header line, then one "u v" line per edge in `upper_edges()`
+    order: the body is one %-format over the flattened pairs, so no string
+    per edge is made."""
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(chain.from_iterable(g.upper_edges()))
 
 
 def _check_vertex_count(n):

@@ -16,10 +16,18 @@ one sweep over the edges through each vertex names every meeting pair and
 the vertices it shares, and serves the cycles of every length.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 from operator import lt
 
-from .covers import Audit, CliqueCover, _first_shared_pair, _later_meeting, _pairs_through, _shares_a_pair
+from .covers import (
+    Audit,
+    CliqueCover,
+    _capped_degrees,
+    _first_shared_pair,
+    _later_meeting,
+    _pairs_through,
+    _shares_a_pair,
+)
 from .errors import FormatError, InputError, SelfCheckError
 from .graphs import Graph, _check_vertex_count, read_text
 
@@ -45,17 +53,20 @@ class Hypergraph:
         return len(self.edges)
 
     def vertex_edges(self):
-        """incidence[v] = list of edge indices containing v, ascending; a
-        vertex in no edge has the shared empty tuple, so that only the
-        vertices in use get a list of their own."""
+        """incidence[v] = list of edge indices containing v, ascending, for
+        each vertex v in at least two edges; a vertex in fewer edges has
+        the shared empty tuple, so that only the vertices where edges meet
+        get a list of their own."""
+        deg = _capped_degrees(self.edges, self.n)
         inc = [()] * self.n
         for i, e in enumerate(self.edges):
             for v in e:
-                through = inc[v]
-                if through:
-                    through.append(i)
-                else:
-                    inc[v] = [i]
+                if deg[v] > 1:
+                    through = inc[v]
+                    if through:
+                        through.append(i)
+                    else:
+                        inc[v] = [i]
         return inc
 
     def __repr__(self):
@@ -134,8 +145,9 @@ def hypergraph_is_triangle_free(h):
     finds the witness there."""
     edges = h.edges
     # up[i] collects the later edges through e_i, and inc[v] lists the
-    # edges through v in descending order; as tuples the up sets of the
-    # EFR (2,65,6) hypergraph take 3.1 MB instead of 19.3 MB
+    # edges through v in descending order where at least two meet; as
+    # tuples the up sets of the EFR (2,65,6) hypergraph take 3.1 MB
+    # instead of 19.3 MB
     inc = [()] * h.n
     up = [tuple(later) for later in _later_meeting(edges, inc)]
     up.reverse()
@@ -286,8 +298,16 @@ def vertex_clique_cover(h):
 
     For linear h, two intersecting edges share exactly one vertex, so the
     K_v are pairwise edge-disjoint and their union is the line-intersection
-    graph; the cover has sum_v C(deg v, 2) edges."""
-    return CliqueCover(h.m, [idxs for idxs in h.vertex_edges() if len(idxs) >= 2])
+    graph; the cover has sum_v C(deg v, 2) edges.  Each incidence list is
+    dropped as its clique tuple is made, so the two are never held
+    together."""
+    inc = h.vertex_edges()
+    cliques = []
+    for v, through in enumerate(inc):
+        if through:
+            inc[v] = ()
+            cliques.append(tuple(through))
+    return CliqueCover(h.m, cliques)
 
 
 def line_intersection_graph(h):
@@ -309,10 +329,13 @@ def line_intersection_graph(h):
 # ---------------------------------------------------------------------------
 
 def hypergraph_to_text(h):
-    head = f"{h.n} {h.m}" if h.r is None else f"{h.n} {h.m} {h.r}"
-    lines = [head]
-    lines.extend([" ".join(map(str, e)) for e in h.edges])
-    return "\n".join(lines) + "\n"
+    """The header line, then one line per edge, its vertices ascending.  A
+    uniform body is one %-format over the flattened edges, so no string
+    per edge is made."""
+    if h.r is None:
+        return "\n".join([f"{h.n} {h.m}"] + [" ".join(map(str, e)) for e in h.edges]) + "\n"
+    line = " ".join(["%d"] * h.r) + "\n"
+    return f"{h.n} {h.m} {h.r}\n" + (line * h.m) % tuple(chain.from_iterable(h.edges))
 
 
 def hypergraph_from_text(text):

@@ -108,8 +108,14 @@ def theorem1_build(d, r, R, pattern, rng, ffree_budget=None):
     if tri.status == "found":
         raise InputError("pattern contains a triangle", witness={"embedding": list(tri.embedding)})
 
+    # only these numbers of the hypergraph and its cover are reported, so
+    # the hypergraph is gone before the blowup builds the graph
     inst = efr_hypergraph(d, r, R)
+    m, n_declared = inst.hypergraph.m, inst.declared_n
     cover = vertex_clique_cover(inst.hypergraph)
+    del inst
+    line_graph_edges = sum(len(c) * (len(c) - 1) // 2 for c in cover.cliques)
+    cover_cliques = len(cover.cliques)
     gstar = random_blowup(cover, pattern, rng.substream("blowup"))
 
     cert = Certificate("theorem1_build")
@@ -125,7 +131,6 @@ def theorem1_build(d, r, R, pattern, rng, ffree_budget=None):
     )
 
     t = pattern.n
-    n_declared = inst.declared_n
     fb = theorem1_failure_bound(t, R, n_declared)
     cert.add_measurement("failure_bound", fb)
     cert.add_predicate("failure_bound_guaranteed", fb["guaranteed"])
@@ -139,11 +144,11 @@ def theorem1_build(d, r, R, pattern, rng, ffree_budget=None):
 
     cert.add_measurement("vertices", gstar.n)
     cert.add_measurement("edges", gstar.m)
-    cert.add_measurement("line_graph_edges", sum(len(c) * (len(c) - 1) // 2 for c in cover.cliques))
-    cert.add_measurement("cover_cliques", len(cover.cliques))
+    cert.add_measurement("line_graph_edges", line_graph_edges)
+    cert.add_measurement("cover_cliques", cover_cliques)
     cert.add_measurement("declared_n", n_declared)
 
-    if gstar.n != inst.hypergraph.m:
+    if gstar.n != m:
         raise SelfCheckError("blowup vertex count disagrees with the hyperedge count")
     if ffree_budget is not None:
         measured = _measure_ffree(gstar, pattern, ffree_budget)

@@ -216,5 +216,15 @@ def test_validate_agrees_with_the_pair_sweep():
 
 
 def test_union_cover_rejects_out_of_range_vertex():
-    with pytest.raises(InputError):
-        CliqueCover(3, [(0, 1, 3)])
+    for cliques, bad in [([(0, 1, 3)], 0), ([(0, 1), (0, 1, 3)], 1), ([(-1, 2)], 0), ([[2, 0], [3, 1, 0]], 1)]:
+        with pytest.raises(InputError) as exc:
+            CliqueCover(3, cliques)
+        assert str(exc.value) == "cover clique vertex out of range"
+        assert exc.value.witness == {"clique": bad, "n": 3}
+
+
+def test_cover_keeps_increasing_tuples_and_sorts_the_rest():
+    given = [(0, 2, 5), [5, 0, 2], (5, 2, 0), (1, 1, 3), (), (4,), {3, 1}]
+    cover = CliqueCover(6, given)
+    assert cover.cliques == ((0, 2, 5), (0, 2, 5), (0, 2, 5), (1, 3), (), (4,), (1, 3))
+    assert all(cover.cliques[i] is given[i] for i in (0, 4, 5))

@@ -432,6 +432,27 @@ def test_search_ckprop_refuses_past_the_cycle_cap(tmp_path):
     }
 
 
+EFR_PAST_THE_FILE_LIMIT = [
+    ["construct", "efr", "--d", "1000000000000", "--r", "65", "--R", "6"],
+    ["construct", "efr", "--d", "2", "--r", "1000000000000", "--R", "6"],
+    ["construct", "efr", "--d", "2", "--r", "65", "--R", "1000000000000"],
+    ["construct", "theorem1", "--d", "2", "--r", "1000000000000", "--R", "6", "--f", "c5", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("command", EFR_PAST_THE_FILE_LIMIT, ids=lambda c: " ".join(c[1:6]))
+def test_efr_declared_size_past_the_file_limit_exit_3(tmp_path, command):
+    # the declared size sum_i (i r)^d is decided in logs, before any point
+    # is listed or any power of d formed
+    out_path = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", *command, "--out", str(out_path)],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["witness"]["max_vertices"] == 10**7
+    assert not out_path.exists()
+
+
 def test_search_drc_no_retries_exit_3(petersen_file, capsys):
     argv = ["search", "drc", "--in", petersen_file, "--x", "0-4", "--y", "5-9", "--s", "2", "--retries", "0"]
     code, out, err = run(argv, capsys)

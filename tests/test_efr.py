@@ -13,6 +13,9 @@ from erdos_rogers import (
     hypergraph_is_triangle_free,
     sphere_points,
 )
+from erdos_rogers import efr
+from erdos_rogers.efr import _declared_n_fits
+from erdos_rogers.graphs import MAX_FILE_VERTICES
 from erdos_rogers.hypergraphs import hypergraph_to_text
 from oracles import efr_vertex_id, sphere_count
 
@@ -95,6 +98,30 @@ def test_efr_edges_follow_the_point_walk(d, r, R):
 def test_efr_rejects_empty_direction_set():
     with pytest.raises(InputError):
         efr_hypergraph(2, 4, 3)  # no positive points at squared radius 16
+
+
+def test_declared_size_limit_matches_the_exact_sum():
+    # sum_i (i r)^d against MAX_FILE_VERTICES, with the boundary cases
+    # 5 r^2 (d = 2, R = 2) at r = 1414 and 1415, and 1 + 2^d at d = 23 and 24
+    outcomes = set()
+    for d, r, R in product(range(2, 26), [1, 2, 3, 7, 65, 1414, 1415, 3000], [2, 3, 6, 40]):
+        fits = sum((i * r) ** d for i in range(1, R + 1)) <= MAX_FILE_VERTICES
+        assert _declared_n_fits(d, r, R) is fits
+        outcomes.add(fits)
+    assert outcomes == {False, True}
+    assert _declared_n_fits(2, 1414, 2) and not _declared_n_fits(2, 1415, 2)
+    assert _declared_n_fits(23, 1, 2) and not _declared_n_fits(24, 1, 2)
+
+
+@pytest.mark.parametrize("d,r,R", [(10**12, 65, 6), (2, 10**12, 6), (2, 65, 10**12), (3, 200, 6)])
+def test_efr_refuses_a_declared_size_past_the_file_limit(monkeypatch, d, r, R):
+    def unreachable(d, r):
+        raise AssertionError("sphere_points ran")
+
+    monkeypatch.setattr(efr, "sphere_points", unreachable)
+    with pytest.raises(InputError) as exc:
+        efr_hypergraph(d, r, R)
+    assert exc.value.witness == {"d": d, "r": r, "R": R, "max_vertices": MAX_FILE_VERTICES}
 
 
 def test_density_floor_monotone_in_n():

@@ -425,6 +425,10 @@ def check_forms_agree(g):
     ]
     for h in forms:
         assert h == g and hash(h) == hash(g)
+    # given tuples (u, v), u < v, are kept as they are; other pairs become
+    # new tuples
+    assert all(a is b for a, b in zip(forms[0].upper_edges(), edges))
+    forms.append(Graph(g.n, [list(e) for e in edges]))
     for h in forms:
         assert h.n == g.n and h.m == len(edges)
         assert h.upper_edges() == tuple(edges)
@@ -487,6 +491,23 @@ def test_oracle_child_matches_edge_list_child(base):
         assert child == expected and hash(child) == hash(expected)
         assert child.m == expected.m and child.rows() == expected.rows()
         assert child.upper_edges() == expected.upper_edges()
+
+
+def _graph_text_by_lines(g):
+    """graph_to_text as it was written before: one f-string per line."""
+    return "\n".join([f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.upper_edges()]) + "\n"
+
+
+def test_graph_text_matches_the_line_by_line_reference():
+    graphs = [Graph(0), Graph(1), Graph(7), Graph(2, [(1, 0)]), petersen_graph()]
+    for seed in SEEDS:
+        rng = SeededRng(seed, "text")
+        for n, p in [(1, 0.5), (12, 0.0), (12, 0.4), (60, 0.1), (300, 0.02)]:
+            g = gnp_graph(n, p, rng)
+            graphs += [g, Graph.from_rows(g.rows())]
+    assert any(g.m == 0 for g in graphs) and max(g.m for g in graphs) > 500
+    for g in graphs:
+        assert graph_to_text(g) == _graph_text_by_lines(g)
 
 
 def test_edges_returns_a_new_list_each_call():

@@ -13,8 +13,8 @@ from erdos_rogers import (
     hypergraph_is_triangle_free,
     line_intersection_graph,
 )
-from erdos_rogers.covers import _first_shared_pair
-from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text
+from erdos_rogers.covers import _first_shared_pair, _later_meeting
+from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text, vertex_clique_cover
 from oracles import all_pairs_loose_cycles, first_loose_triangle, naive_loose_cycles, seeded_sample
 
 # three 3-edges pairwise meeting in distinct single vertices: a loose triangle
@@ -239,6 +239,43 @@ def test_edge_checks_name_the_first_bad_edge(edges, fragment, bad):
         Hypergraph(5, edges, 3)
     assert fragment in str(exc.value)
     assert exc.value.witness == {"edge": list(bad)}
+
+
+def _hypergraph_text_by_lines(h):
+    """hypergraph_to_text as it was written before: one joined string per
+    line."""
+    head = f"{h.n} {h.m}" if h.r is None else f"{h.n} {h.m} {h.r}"
+    return "\n".join([head] + [" ".join(map(str, e)) for e in h.edges]) + "\n"
+
+
+def test_text_matches_the_line_by_line_reference():
+    hypergraphs = [Hypergraph(0, []), Hypergraph(4, [], 3), Hypergraph(5, [(4,), (0, 3)]), LOOSE_TRIANGLE]
+    for seed in range(40):
+        h = _random_hypergraph(seed)
+        rng = SeededRng(seed, "mixed")
+        # the same vertex sets with mixed sizes: drop a random tail from each
+        mixed = {e[: 1 + rng.randrange(len(e))] for e in h.edges}
+        hypergraphs += [h, Hypergraph(h.n, h.edges), Hypergraph(h.n, sorted(mixed))]
+    assert any(h.r is None and len(set(map(len, h.edges))) > 1 for h in hypergraphs)
+    for h in hypergraphs:
+        assert hypergraph_to_text(h) == _hypergraph_text_by_lines(h)
+
+
+def test_incidence_lists_only_where_edges_meet():
+    # a vertex in fewer than two edges gets the shared empty tuple from both
+    # incidence sweeps: it adds no pair, no meeting edge and no clique
+    degrees = set()
+    for seed in range(60):
+        h = _random_hypergraph(seed)
+        through = [[i for i, e in enumerate(h.edges) if v in e] for v in range(h.n)]
+        degrees.update(map(len, through))
+        assert h.vertex_edges() == [t if len(t) > 1 else () for t in through]
+        assert vertex_clique_cover(h).cliques == tuple(tuple(t) for t in through if len(t) > 1)
+        inc = [()] * h.n
+        later = list(_later_meeting(h.edges, inc))[::-1]
+        assert inc == [t[::-1] if len(t) > 1 else () for t in through]
+        assert later == [{k for k in range(i + 1, h.m) if set(h.edges[k]) & set(e)} for i, e in enumerate(h.edges)]
+    assert {0, 1, 2, 3} <= degrees
 
 
 def test_text_round_trip():
