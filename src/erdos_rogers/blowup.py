@@ -14,7 +14,7 @@ from itertools import combinations
 from .covers import CliqueCover
 from .errors import InputError, SelfCheckError
 from .graphs import Graph, as_mask, bipartition_violation, bits
-from .rng import _numbered_randranges
+from .rng import _numbered_substreams
 from .subgraph import _plan, _run_plans
 
 
@@ -36,11 +36,13 @@ def random_blowup(cover, pattern, rng):
             "cover cliques are not edge-disjoint",
             witness={"cliques": audit.witness["cliques"], "shared_pair": audit.witness["shared_pair"]},
         )
+    t = pattern.n
     prows = pattern.rows()
-    colors = _numbered_randranges(rng, "clique-", pattern.n)
+    clique_stream = _numbered_substreams(rng, "clique-")
     kept = []
     for i, clique in enumerate(cover.cliques):
-        colored = zip(clique, colors(i, len(clique)))
+        draw = clique_stream(i).randrange
+        colored = [(v, draw(t)) for v in clique]
         kept.extend([(u, v) for (u, cu), (v, cv) in combinations(colored, 2) if (prows[cu] >> cv) & 1])
     return Graph(cover.n, kept)
 

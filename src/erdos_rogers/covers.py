@@ -93,35 +93,48 @@ def _first_shared_pair(sets):
     return seen, None
 
 
-def _capped_degrees(sets, n):
-    """The number of the sets through each vertex of range(n), counted up
-    to 2, in a bytearray: one byte per vertex tells a vertex where two sets
-    meet from one that lies in a single set."""
-    deg = bytearray(n)
+def _incidence_sweep(sets, inc, order):
+    """For each index i in `order`, the lists inc[v] of the vertices v of
+    set i that lie in at least two of `sets`, once i has joined them.  inc
+    starts as [()] * n, and a vertex in fewer sets keeps its (), as it
+    adds nothing to a meeting set, to sum_v C(deg v, 2) or to a clique: a
+    count of each vertex's sets up to 2, one byte per vertex, tells the
+    two apart first."""
+    deg = bytearray(len(inc))
     for v in chain.from_iterable(sets):
         if deg[v] < 2:
             deg[v] += 1
-    return deg
-
-
-def _later_meeting(sets, inc):
-    """For i from the last set down, the set of indices k > i of the sets
-    that meet set i.  It fills inc[v] with the sets through v in
-    descending order as it goes, for each vertex v in at least two sets;
-    inc starts as [()] * n, and a vertex in fewer sets keeps its (), as it
-    adds nothing to a meeting set or to sum_v C(deg v, 2)."""
-    deg = _capped_degrees(sets, len(inc))
-    for i in range(len(sets) - 1, -1, -1):
-        later = set()
+    for i in order:
+        met = []
         for v in sets[i]:
             if deg[v] > 1:
                 through = inc[v]
                 if through:
-                    later.update(through)
                     through.append(i)
                 else:
-                    inc[v] = [i]
+                    inc[v] = through = [i]
+                met.append(through)
+        yield met
+
+
+def _later_meeting(sets, inc):
+    """For i from the last set down, the set of indices k > i of the sets
+    that meet set i, while `_incidence_sweep` fills inc[v] with the sets
+    through v in descending order."""
+    order = range(len(sets) - 1, -1, -1)
+    for i, met in zip(order, _incidence_sweep(sets, inc, order)):
+        later = set().union(*met)
+        later.discard(i)
         yield later
+
+
+def _meeting_incidence(sets, n):
+    """inc[v], the indices of the sets through v ascending, for each vertex
+    v of range(n) where at least two of `sets` meet, and () elsewhere."""
+    inc = [()] * n
+    for _ in _incidence_sweep(sets, inc, range(len(sets))):
+        pass
+    return inc
 
 
 def _pairs_through(inc):

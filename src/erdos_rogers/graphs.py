@@ -538,7 +538,7 @@ def graph_to_text(g):
     """The header line, then one "u v" line per edge in `upper_edges()`
     order: the body is one %-format over the flattened pairs, so no string
     per edge is made."""
-    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(chain.from_iterable(g.upper_edges()))
+    return f"{g.n} {g.m}\n" + ("%s %s\n" * g.m) % tuple(chain.from_iterable(g.upper_edges()))
 
 
 def _check_vertex_count(n):

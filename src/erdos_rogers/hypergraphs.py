@@ -22,9 +22,9 @@ from operator import lt
 from .covers import (
     Audit,
     CliqueCover,
-    _capped_degrees,
     _first_shared_pair,
     _later_meeting,
+    _meeting_incidence,
     _pairs_through,
     _shares_a_pair,
 )
@@ -53,20 +53,17 @@ class Hypergraph:
         return len(self.edges)
 
     def vertex_edges(self):
-        """incidence[v] = list of edge indices containing v, ascending, for
-        each vertex v in at least two edges; a vertex in fewer edges has
-        the shared empty tuple, so that only the vertices where edges meet
-        get a list of their own."""
-        deg = _capped_degrees(self.edges, self.n)
+        """incidence[v] = list of edge indices containing v, ascending; a
+        vertex in no edge has the shared empty tuple, so that only the
+        vertices in use get a list of their own."""
         inc = [()] * self.n
         for i, e in enumerate(self.edges):
             for v in e:
-                if deg[v] > 1:
-                    through = inc[v]
-                    if through:
-                        through.append(i)
-                    else:
-                        inc[v] = [i]
+                through = inc[v]
+                if through:
+                    through.append(i)
+                else:
+                    inc[v] = [i]
         return inc
 
     def __repr__(self):
@@ -256,7 +253,7 @@ def find_loose_cycles(h, longest, limit=None):
     if longest < 2:
         return []
     shared = {}
-    for v, through in enumerate(h.vertex_edges()):
+    for v, through in enumerate(_meeting_incidence(h.edges, h.n)):
         for pair in combinations(through, 2):
             shared.setdefault(pair, []).append(v)
     out = []
@@ -301,7 +298,7 @@ def vertex_clique_cover(h):
     graph; the cover has sum_v C(deg v, 2) edges.  Each incidence list is
     dropped as its clique tuple is made, so the two are never held
     together."""
-    inc = h.vertex_edges()
+    inc = _meeting_incidence(h.edges, h.n)
     cliques = []
     for v, through in enumerate(inc):
         if through:
@@ -334,7 +331,7 @@ def hypergraph_to_text(h):
     per edge is made."""
     if h.r is None:
         return "\n".join([f"{h.n} {h.m}"] + [" ".join(map(str, e)) for e in h.edges]) + "\n"
-    line = " ".join(["%d"] * h.r) + "\n"
+    line = " ".join(["%s"] * h.r) + "\n"
     return f"{h.n} {h.m} {h.r}\n" + (line * h.m) % tuple(chain.from_iterable(h.edges))
 
 

@@ -16,7 +16,6 @@ _MASK64 = (1 << 64) - 1
 _FLOAT_SCALE = 2.0 ** -53
 _BLOCK_WORDS = struct.Struct("<8Q")
 _BLOCK_INDEX = struct.Struct("<Q")
-_FIRST_BLOCK = _BLOCK_INDEX.pack(0)
 
 
 def _label_state(seed, label):
@@ -151,27 +150,3 @@ def _numbered_substreams(rng, prefix):
         return stream
 
     return substream
-
-
-def _numbered_randranges(rng, prefix, n):
-    """The function (i, count) -> the first count values randrange(n) of
-    rng.substream(f"{prefix}{i}"), the same values.  Up to 8 of them come
-    from the words of the stream's block 0, one keyed blake2b call, with no
-    stream made, when none of those words fails randrange's rejection
-    limit; otherwise the stream itself draws them."""
-    head = _label_state(rng.seed, f"{rng.label}/{prefix}")
-    limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
-    substream = _numbered_substreams(rng, prefix)
-
-    def draws(i, count):
-        if count <= 8:
-            h = head.copy()
-            h.update(str(i).encode())
-            block = hashlib.blake2b(_FIRST_BLOCK, key=h.digest(), digest_size=64).digest()
-            words = _BLOCK_WORDS.unpack(block)[:count]
-            if max(words, default=0) < limit:
-                return [w % n for w in words]
-        draw = substream(i).randrange
-        return [draw(n) for _ in range(count)]
-
-    return draws

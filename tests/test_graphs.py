@@ -499,7 +499,9 @@ def _graph_text_by_lines(g):
 
 
 def test_graph_text_matches_the_line_by_line_reference():
-    graphs = [Graph(0), Graph(1), Graph(7), Graph(2, [(1, 0)]), petersen_graph()]
+    # a non-int endpoint that compares inside range(n) is written as the
+    # line-by-line f-strings wrote it
+    graphs = [Graph(0), Graph(1), Graph(7), Graph(2, [(1, 0)]), Graph(3, [(0.5, 1), (True, 2)]), petersen_graph()]
     for seed in SEEDS:
         rng = SeededRng(seed, "text")
         for n, p in [(1, 0.5), (12, 0.0), (12, 0.4), (60, 0.1), (300, 0.02)]:

@@ -13,7 +13,7 @@ from erdos_rogers import (
     hypergraph_is_triangle_free,
     line_intersection_graph,
 )
-from erdos_rogers.covers import _first_shared_pair, _later_meeting
+from erdos_rogers.covers import _first_shared_pair, _later_meeting, _meeting_incidence
 from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text, vertex_clique_cover
 from oracles import all_pairs_loose_cycles, first_loose_triangle, naive_loose_cycles, seeded_sample
 
@@ -250,6 +250,7 @@ def _hypergraph_text_by_lines(h):
 
 def test_text_matches_the_line_by_line_reference():
     hypergraphs = [Hypergraph(0, []), Hypergraph(4, [], 3), Hypergraph(5, [(4,), (0, 3)]), LOOSE_TRIANGLE]
+    hypergraphs += [Hypergraph(4, [(0.5, 2), (True, 3)], 2), Hypergraph(4, [(0.5,), (True, 3)])]
     for seed in range(40):
         h = _random_hypergraph(seed)
         rng = SeededRng(seed, "mixed")
@@ -263,13 +264,15 @@ def test_text_matches_the_line_by_line_reference():
 
 def test_incidence_lists_only_where_edges_meet():
     # a vertex in fewer than two edges gets the shared empty tuple from both
-    # incidence sweeps: it adds no pair, no meeting edge and no clique
+    # sweeps of covers._incidence_sweep: it adds no pair, no meeting edge
+    # and no clique; vertex_edges() keeps every incidence
     degrees = set()
     for seed in range(60):
         h = _random_hypergraph(seed)
         through = [[i for i, e in enumerate(h.edges) if v in e] for v in range(h.n)]
         degrees.update(map(len, through))
-        assert h.vertex_edges() == [t if len(t) > 1 else () for t in through]
+        assert h.vertex_edges() == [t if t else () for t in through]
+        assert _meeting_incidence(h.edges, h.n) == [t if len(t) > 1 else () for t in through]
         assert vertex_clique_cover(h).cliques == tuple(tuple(t) for t in through if len(t) > 1)
         inc = [()] * h.n
         later = list(_later_meeting(h.edges, inc))[::-1]

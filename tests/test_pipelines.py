@@ -169,7 +169,8 @@ THEOREM1_REFEREE_SHA256 = (
 def test_theorem1_peak_memory():
     # 33,800 hyperedges: the output graph keeps its 97,168 edges and builds
     # no rows, the hypergraph is gone before the blowup, and the build
-    # peaked at 41.2 MB on Python 3.11.7 (the bound is that plus 20%);
+    # peaked at 41.2-41.4 MB on Python 3.11.7, 36.7 MB on 3.10.13 and
+    # 39.2 MB on 3.12.1 (the bound is the largest plus 20%);
     # 33,800-bit rows for the output alone would add about 100 MB
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(erdos_rogers.__file__)))
     out = subprocess.run(

@@ -9,7 +9,7 @@ from erdos_rogers import (
     make_manifest,
     write_manifest,
 )
-from erdos_rogers.rng import _numbered_randranges, _numbered_substreams
+from erdos_rogers.rng import _numbered_substreams
 
 SEEDS = [0, 1, 2, 99, 2**40]
 
@@ -47,24 +47,6 @@ def test_numbered_substreams_match_substream(seed):
         assert [fast.randrange(5) for _ in range(20)] == [plain.randrange(5) for _ in range(20)]
         assert [fast.u64() for _ in range(9)] == [plain.u64() for _ in range(9)]
         assert fast.state() == plain.state()
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 2**63 + 1])
-def test_numbered_randranges_match_randrange(n):
-    # up to 8 draws come from block 0 of the stream; at n = 2^63 + 1 about
-    # half of all words fail randrange's rejection limit, so the stream
-    # draws them, as it does for more than 8
-    rng = SeededRng(1, "theorem1/blowup")
-    draws = _numbered_randranges(rng, "clique-", n)
-    limit = 2**64 - 2**64 % n
-    rejected = 0
-    for i in [0, 1, 9, 10, 57, 50_678]:
-        for count in [0, 1, 2, 5, 8, 9, 13]:
-            stream = rng.substream(f"clique-{i}")
-            assert draws(i, count) == [stream.randrange(n) for _ in range(count)]
-            words = rng.substream(f"clique-{i}")
-            rejected += count <= 8 and max([words.u64() for _ in range(count)], default=0) >= limit
-    assert rejected > 10 if n > 2**63 else rejected == 0
 
 
 def test_shuffle_deterministic():
