@@ -5,19 +5,19 @@ graph it covers is by definition the union of its cliques (a complete
 graph on each clique), so it is never built or stored; every edge is
 covered, and the one invariant left to check is edge-disjointness.
 
-Two sets share a vertex pair exactly when they meet in at least two
-vertices, and a count decides that: set i meets at most
-sum_{v in S_i} |{k in K_v : k > i}| later sets, K_v the sets through v,
-with equality exactly when each of them shares a single vertex with it.
-So no two sets share a pair iff the numbers of later sets meeting each
-set sum to sum_v C(|K_v|, 2).  `_shares_a_pair` makes that count for
-`validate` and for `hypergraphs.hypergraph_is_linear`, keeping one set of
-later sets at a time.  `_first_shared_pair`, one sweep over all within-clique pairs in
+One flat incidence, `_incidence`, serves every check here and in
+`hypergraphs`: the vertices that lie in at least two sets, ascending, and
+one list of set indices with an ascending slice per such vertex.  Two sets
+share a vertex pair exactly when they meet in at least two vertices, so
+`_shares_a_pair` concatenates, for each set i, the later indices of the
+slices through its vertices, and looks for a repeat there.
+`_first_shared_pair`, one sweep over all within-clique pairs in
 O(sum |K_i|^2), builds the pair map of `edge_clique_map` and names the
 witness of a failed check; on the theorem-1 cover at (2,65,6) its dict
 holds 242k tuples.
 """
 
+from array import array
 from itertools import chain, combinations
 from operator import lt
 
@@ -93,61 +93,68 @@ def _first_shared_pair(sets):
     return seen, None
 
 
-def _incidence_sweep(sets, inc, order):
-    """For each index i in `order`, the lists inc[v] of the vertices v of
-    set i that lie in at least two of `sets`, once i has joined them.  inc
-    starts as [()] * n, and a vertex in fewer sets keeps its (), as it
-    adds nothing to a meeting set, to sum_v C(deg v, 2) or to a clique: a
-    count of each vertex's sets up to 2, one byte per vertex, tells the
-    two apart first."""
-    deg = bytearray(len(inc))
+def _incidence(sets, n):
+    """The sets through each vertex of range(n) that lies in at least two
+    of `sets`, as (meeting, starts, through): meeting lists those vertices
+    ascending, and through[starts[k]:starts[k + 1]] the indices of the sets
+    through meeting[k], ascending.
+
+    A vertex in one set adds nothing to a meeting pair, to sum_v C(deg v, 2)
+    or to a clique, so it gets no slice.  The loops run over the incidences
+    and the meeting vertices only, never over range(n).  `through` holds
+    the index ints of `enumerate` themselves, so a clique tuple sliced from
+    it makes no new int; the offsets are 4-byte machine ints."""
+    count = [0] * n
+    meeting = []
     for v in chain.from_iterable(sets):
-        if deg[v] < 2:
-            deg[v] += 1
-    for i in order:
-        met = []
-        for v in sets[i]:
-            if deg[v] > 1:
-                through = inc[v]
-                if through:
-                    through.append(i)
-                else:
-                    inc[v] = through = [i]
-                met.append(through)
-        yield met
+        c = count[v] + 1
+        count[v] = c
+        if c == 2:
+            meeting.append(v)
+    meeting.sort()
+    starts = array("i", [0]) * (len(meeting) + 1)
+    end = 0
+    # count[v] becomes ~(the next free place in the slice of v), below 0,
+    # while a vertex in one set keeps its count of 1
+    for k, v in enumerate(meeting, 1):
+        c = count[v]
+        count[v] = ~end
+        end += c
+        starts[k] = end
+    through = [None] * end
+    for i, members in enumerate(sets):
+        for v in members:
+            p = count[v]
+            if p < 0:
+                through[~p] = i
+                count[v] = p - 1
+    return meeting, starts, through
 
 
-def _later_meeting(sets, inc):
-    """For i from the last set down, the set of indices k > i of the sets
-    that meet set i, while `_incidence_sweep` fills inc[v] with the sets
-    through v in descending order."""
-    order = range(len(sets) - 1, -1, -1)
-    for i, met in zip(order, _incidence_sweep(sets, inc, order)):
-        later = set().union(*met)
-        later.discard(i)
-        yield later
+def _later_sets(starts, through, m):
+    """up[i] for each of m sets: for each meeting vertex of set i, the
+    indices above i in its slice of the flat incidence `_incidence`,
+    concatenated.  Two sets share a vertex pair exactly when an index
+    repeats in some up[i]; up[i] has sum_v C(deg v, 2) entries in all."""
+    up = [()] * m
+    for a, b in zip(starts, starts[1:]):
+        run = tuple(through[a:b])
+        for q, i in enumerate(run, 1):
+            up[i] += run[q:]
+    return up
 
 
-def _meeting_incidence(sets, n):
-    """inc[v], the indices of the sets through v ascending, for each vertex
-    v of range(n) where at least two of `sets` meet, and () elsewhere."""
-    inc = [()] * n
-    for _ in _incidence_sweep(sets, inc, range(len(sets))):
-        pass
-    return inc
-
-
-def _pairs_through(inc):
-    """sum_v C(deg v, 2) over the incidence lists inc."""
-    return sum(len(t) * (len(t) - 1) // 2 for t in inc)
+def _repeats(up):
+    """Whether some tuple of `up` holds an index twice."""
+    return sum(map(len, map(set, up))) != sum(map(len, up))
 
 
 def _shares_a_pair(sets, n):
     """Whether two of the tuples `sets`, each of distinct vertices in
-    range(n), share a vertex pair: the numbers of later sets meeting each
-    set fall short of sum_v C(deg v, 2) exactly then."""
-    inc = [()] * n
-    return sum(map(len, _later_meeting(sets, inc))) != _pairs_through(inc)
+    range(n), share a vertex pair: some set then meets a later set through
+    two of its vertices."""
+    _, starts, through = _incidence(sets, n)
+    return _repeats(_later_sets(starts, through, len(sets)))
 
 
 def _sorted_cliques(cliques, n):

@@ -12,8 +12,8 @@ part X_{i+1}.  Exactly |A| * r^d edges, one vertex per part per edge.
 """
 
 import math
-from itertools import product
-from operator import add, mul
+from itertools import chain, product
+from operator import mul
 
 from .certificates import Certificate
 from .errors import InputError
@@ -112,22 +112,41 @@ def efr_hypergraph(d, r, R):
     for s in part_sizes[:-1]:
         part_offsets.append(part_offsets[-1] + s)
     inst = EFRInstance(d, r, R, None, sphere, part_sizes, part_offsets)
-    # a vertex id is linear in its point, so id(part i+1, x + i*a) splits as
-    # start[i][x] + step[i][a]: the lattice index of x - 1 in part i+1 plus
-    # i times the index weight of a
-    corners = list(product(range(r), repeat=d))
-    starts = []
+    inst.hypergraph = Hypergraph(inst.declared_n, _edge_tuples(d, r, R, sphere, part_offsets, inst.declared_n), R)
+    return inst
+
+
+def _edge_tuples(d, r, R, sphere, part_offsets, declared_n):
+    """The edges {x, x + a, ..., x + (R-1) a} as vertex id tuples, x in
+    [r]^d in lexicographic order and a in sphere order within each x.
+
+    A vertex id is linear in its point, so the id of x + i a in part i+1 is
+    the lattice index of x - 1 there plus i times the index weight of a.
+    For a fixed a, the ids of part i+1 over all x are r^(d-1) runs of r
+    consecutive ids, one run per x less its last coordinate.  Every run is
+    first written into a table of declared_n slots, and the edges read
+    their ids back from it, so each vertex id is one int object however
+    many edges hold it (at (2,65,6) the edges hold 6.0 MB instead of
+    8.9 MB)."""
+    runs = []
     steps = []
     for i in range(R):
         weights = [((i + 1) * r) ** (d - 1 - j) for j in range(d)]
-        starts.append([part_offsets[i] + sum(map(mul, x, weights)) for x in corners])
+        runs.append([part_offsets[i] + sum(map(mul, x, weights)) for x in product(range(r), repeat=d - 1)])
         steps.append([i * sum(map(mul, a, weights)) for a in sphere])
-    walks = list(zip(*steps))  # per direction a, what it adds in each part
-    edges = []
-    for start in zip(*starts):
-        edges.extend(tuple(map(add, start, walk)) for walk in walks)
-    inst.hypergraph = Hypergraph(inst.declared_n, edges, R)
-    return inst
+    ids = [None] * declared_n
+    for run, step in zip(runs, steps):
+        for s in step:
+            for lo in run:
+                lo += s
+                ids[lo:lo + r] = range(lo, lo + r)
+    # the edges of each direction a, x ascending, from one column per part
+    by_direction = [
+        list(zip(*[list(chain.from_iterable([ids[lo + s:lo + s + r] for lo in run])) for run, s in zip(runs, walk)]))
+        for walk in zip(*steps)
+    ]
+    del ids
+    return list(chain.from_iterable(zip(*by_direction)))
 
 
 def density_floor(declared_n, R):

@@ -9,7 +9,7 @@ n n-bit rows, while the searches read rows.  Graphs are immutable, so they
 can be shared freely between search engines.
 """
 
-from itertools import chain, combinations, groupby
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
 
 from .errors import FormatError, InputError, SelfCheckError
@@ -95,10 +95,12 @@ class Graph:
         """Pairs may come in either orientation and repeat; a self-loop or
         an endpoint outside range(n) is refused, naming the first such
         pair.  A given tuple (u, v) with u < v is kept as it is, so that a
-        large edge list is not held twice while the graph is built."""
+        large edge list is not held twice while the graph is built; the
+        oriented pairs are sorted in a list and repeats dropped next to
+        each other, with no set of them."""
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        upper = set()
+        upper = []
         for pair in edges:
             u, v = pair
             if u == v:
@@ -109,9 +111,10 @@ class Graph:
                 pair = (v, u)
             elif type(pair) is not tuple:
                 pair = (u, v)
-            upper.add(pair)
+            upper.append(pair)
+        upper.sort()
         self.n = n
-        self._edges = tuple(sorted(upper))
+        self._edges = tuple(map(itemgetter(0), groupby(upper)))
         self._m = len(self._edges)
         self._rows = None
 
@@ -342,6 +345,26 @@ def bipartition_violation(g, left):
     return None
 
 
+def _two_colourable(rows, mask):
+    """Whether the subgraph induced on mask has no odd cycle: a BFS from
+    the least unreached vertex of each component, level by level on bit
+    rows, finds no edge inside a level."""
+    unseen = mask
+    while unseen:
+        level = unseen & -unseen
+        unseen ^= level
+        while level:
+            reach = 0
+            for u in bits(level):
+                row = rows[u] & mask
+                if row & level:
+                    return False
+                reach |= row
+            level = reach & unseen
+            unseen ^= level
+    return True
+
+
 def _girth_at_most(rows, max_len, lower=3):
     """The girth of the graph with adjacency rows `rows` if it is at most
     max_len, else None; `lower` is a known lower bound on the girth.
@@ -519,14 +542,25 @@ def triangle_witness(g):
 
     Every common neighbour w of that edge exceeds v, since w < v would put
     the triangle on the earlier edge (min(u, w), max(u, w)).  So the scan
-    looks, for u ascending, for an edge (v, w) between two of the
-    neighbours v < w of u above u, the pairs taken in lexicographic order."""
+    looks, for u ascending and then each neighbour v > u ascending, for a
+    common neighbour of u and v above v.  The neighbours above each vertex
+    are one run of `upper_edges()`, found by its offsets there, so no set
+    of all edges is made."""
     edges = g.upper_edges()
-    present = set(edges)
-    for u, group in groupby(edges, itemgetter(0)):
-        above = [v for _, v in group]
-        if len(above) > 1 and not present.isdisjoint(combinations(above, 2)):
-            return next((u, v, w) for v, w in combinations(above, 2) if (v, w) in present)
+    above = list(map(itemgetter(1), edges))
+    start = [0] * (g.n + 1)
+    for u, _ in edges:
+        start[u + 1] += 1
+    start = list(accumulate(start))
+    a = 0
+    for u, b in enumerate(start[1:]):
+        if b - a > 1:
+            run = above[a:b]
+            mine = set(run)
+            for v in run[:-1]:
+                if not mine.isdisjoint(above[start[v]:start[v + 1]]):
+                    return (u, v, min(mine.intersection(above[start[v]:start[v + 1]])))
+        a = b
     return None
 
 

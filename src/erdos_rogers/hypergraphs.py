@@ -5,29 +5,22 @@ sorted tuples of edge indices; the line graph itself is built only by
 `line_intersection_graph`.
 
 A hypergraph is linear when any two edges share at most one vertex; the
-count of meeting edges that checks a clique cover in `covers` decides it,
-and the one shared-pair sweep of `covers` names the witness.  A triangle
+test of `covers` that checks a clique cover, no edge meeting a later edge
+through two of its vertices, decides it, and the one shared-pair sweep of
+`covers` names the witness.  A triangle
 here is three edges pairwise intersecting in exactly one vertex with no
 vertex common to all three.  A loose cycle of length 2 is a pair of edges sharing at least two vertices;
 for length l > 2 it is l distinct edges e_1..e_l and l distinct vertices
 with consecutive edges (cyclically) meeting in exactly one vertex and all
-other pairs disjoint.  Loose cycles are found from the incidence lists:
-one sweep over the edges through each vertex names every meeting pair and
-the vertices it shares, and serves the cycles of every length.
+other pairs disjoint.  Loose cycles are found from the flat incidence of
+`covers`: one sweep over the edges through each vertex names every meeting
+pair and the vertices it shares, and serves the cycles of every length.
 """
 
 from itertools import chain, combinations
 from operator import lt
 
-from .covers import (
-    Audit,
-    CliqueCover,
-    _first_shared_pair,
-    _later_meeting,
-    _meeting_incidence,
-    _pairs_through,
-    _shares_a_pair,
-)
+from .covers import Audit, CliqueCover, _first_shared_pair, _incidence, _later_sets, _repeats, _shares_a_pair
 from .errors import FormatError, InputError, SelfCheckError
 from .graphs import Graph, _check_vertex_count, read_text
 
@@ -51,20 +44,6 @@ class Hypergraph:
     @property
     def m(self):
         return len(self.edges)
-
-    def vertex_edges(self):
-        """incidence[v] = list of edge indices containing v, ascending; a
-        vertex in no edge has the shared empty tuple, so that only the
-        vertices in use get a list of their own."""
-        inc = [()] * self.n
-        for i, e in enumerate(self.edges):
-            for v in e:
-                through = inc[v]
-                if through:
-                    through.append(i)
-                else:
-                    inc[v] = [i]
-        return inc
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m}, r={self.r})"
@@ -110,10 +89,10 @@ def _check_each_edge(edges, n, r):
 def hypergraph_is_linear(h):
     """Audit: every two edges share at most one vertex.
 
-    The count of `covers._shares_a_pair` decides: h is linear iff the
-    numbers of later edges meeting each edge sum to sum_v C(deg v, 2).
-    Only a non-linear h runs the shared-pair sweep of `covers`, for the
-    witness: the first vertex pair that an edge shares with an earlier one.
+    `covers._shares_a_pair` decides on the flat incidence: h is linear iff
+    no edge meets a later edge through two of its vertices.  Only a
+    non-linear h runs the shared-pair sweep of `covers`, for the witness:
+    the first vertex pair that an edge shares with an earlier one.
     """
     if not _shares_a_pair(h.edges, h.n):
         return Audit("linear", True)
@@ -130,39 +109,32 @@ def hypergraph_is_triangle_free(h):
     first two edges ascending, then the pairs i < j of edges through v in
     incidence order, then the third edge k > j ascending.
 
-    Both checks count the upper neighbour sets up[i], the edges k > i that
-    meet edge i, instead of sweeping pairs.  As in `covers._shares_a_pair`,
-    h is linear iff the sizes |up[i]| sum to sum_v C(deg v, 2); only a
-    non-linear h runs `hypergraph_is_linear`, for its witness.  In a linear
-    h, a pair i < j through v has a common neighbour k > j off v exactly
-    when the sets up[i] - K_v, i in K_v, are not disjoint, that is when
-    their union has fewer than d - 1 + sum_i |up[i]| - C(d, 2) members,
-    d = |K_v| (the part inside K_v is K_v less its least edge).  So the
-    ordered pair scan runs at the first vertex that fails this test, and
-    finds the witness there."""
+    Both checks read the tuples up[i] of `covers._later_sets`, the edges
+    k > i that meet edge i through each of its vertices, instead of
+    sweeping pairs.  As in `covers._shares_a_pair`, h is linear iff no
+    up[i] repeats an edge; only a non-linear h runs `hypergraph_is_linear`,
+    for its witness.  In a linear h, a pair i < j through v has a common
+    neighbour k > j off v exactly when the sets up[i] - K_v, i in K_v, are
+    not disjoint, that is when their union has fewer than
+    d - 1 + sum_i |up[i]| - C(d, 2) members, d = |K_v| (the part inside
+    K_v is K_v less its least edge).  So the ordered pair scan runs at the
+    first vertex that fails this test, and finds the witness there."""
     edges = h.edges
-    # up[i] collects the later edges through e_i, and inc[v] lists the
-    # edges through v in descending order where at least two meet; as
-    # tuples the up sets of the EFR (2,65,6) hypergraph take 3.1 MB
-    # instead of 19.3 MB
-    inc = [()] * h.n
-    up = [tuple(later) for later in _later_meeting(edges, inc)]
-    up.reverse()
-    if sum(map(len, up)) != _pairs_through(inc):
+    # as tuples the up sets of the EFR (2,65,6) hypergraph take 3.1 MB
+    # instead of 19.3 MB as sets
+    meeting, starts, through = _incidence(edges, h.n)
+    up = _later_sets(starts, through, h.m)
+    if _repeats(up):
         lin = hypergraph_is_linear(h)
         raise InputError("triangle audit requires a linear hypergraph", witness=lin.witness)
-    first_failed = None
-    for v, through in enumerate(inc):
-        d = len(through)
-        if d > 1:
-            sets = [up[i] for i in through]
-            if len(set().union(*sets)) != d - 1 + sum(map(len, sets)) - d * (d - 1) // 2:
-                first_failed = v
-                break
-    if first_failed is None:
+    for v, a, b in zip(meeting, starts, starts[1:]):
+        sets = [up[i] for i in through[a:b]]
+        d = b - a
+        if len(set().union(*sets)) != d - 1 + sum(map(len, sets)) - d * (d - 1) // 2:
+            break
+    else:
         return Audit("triangle_free", True)
-    v = first_failed
-    through = inc[v][::-1]
+    through = through[a:b]
     for i, j in combinations(through, 2):
         # linear, so a common later neighbour k of i and j that avoids v
         # meets them in two further, distinct vertices: a triangle
@@ -253,8 +225,9 @@ def find_loose_cycles(h, longest, limit=None):
     if longest < 2:
         return []
     shared = {}
-    for v, through in enumerate(_meeting_incidence(h.edges, h.n)):
-        for pair in combinations(through, 2):
+    meeting, starts, through = _incidence(h.edges, h.n)
+    for v, a, b in zip(meeting, starts, starts[1:]):
+        for pair in combinations(through[a:b], 2):
             shared.setdefault(pair, []).append(v)
     out = []
     # adjacency between edges sharing exactly one vertex, ascending
@@ -295,16 +268,11 @@ def vertex_clique_cover(h):
 
     For linear h, two intersecting edges share exactly one vertex, so the
     K_v are pairwise edge-disjoint and their union is the line-intersection
-    graph; the cover has sum_v C(deg v, 2) edges.  Each incidence list is
-    dropped as its clique tuple is made, so the two are never held
-    together."""
-    inc = _meeting_incidence(h.edges, h.n)
-    cliques = []
-    for v, through in enumerate(inc):
-        if through:
-            inc[v] = ()
-            cliques.append(tuple(through))
-    return CliqueCover(h.m, cliques)
+    graph; the cover has sum_v C(deg v, 2) edges.  The cliques are the
+    slices of the flat incidence of `covers._incidence`, so they share its
+    index ints."""
+    _, starts, through = _incidence(h.edges, h.n)
+    return CliqueCover(h.m, [tuple(through[a:b]) for a, b in zip(starts, starts[1:])])
 
 
 def line_intersection_graph(h):

@@ -23,8 +23,10 @@ from .certificates import Certificate
 from .efr import efr_hypergraph
 from .errors import InputError, SelfCheckError
 from .graphs import (
+    MAX_FILE_VERTICES,
     Graph,
     VertexSet,
+    _two_colourable,
     bits,
     complete_graph,
     cycle_graph,
@@ -70,7 +72,10 @@ def _require_absent(host, pattern, what):
 
 def _has_k_cycle(g, mask, k):
     """Does the subgraph induced on mask contain a k-cycle?  The audit runs
-    without a node budget: it must decide, whatever the input size."""
+    without a node budget: it must decide, whatever the input size.  An
+    odd k on a 2-colourable mask is decided by one BFS 2-colouring."""
+    if k % 2 and _two_colourable(g.rows(), mask):
+        return False
     return contains_subgraph(g, cycle_graph(k), budget=math.inf, within=mask).found
 
 
@@ -381,7 +386,9 @@ def random_girth_hypergraph(t, r, rng):
     when the draw falls below p; `bernoulli_indices` finds those draws and
     the kept indices are unranked in the same order.  An expected edge
     count C(t, r) p below 1 is refused before any draw: the sample would
-    be empty or nearly so, and an edgeless h* passes every audit."""
+    be empty or nearly so, and an edgeless h* passes every audit.  A t
+    above MAX_FILE_VERTICES is refused next, before the sample allocates
+    anything."""
     if r < 2:
         raise InputError("uniformity r >= 2 required")
     if t < r:
@@ -396,6 +403,11 @@ def random_girth_hypergraph(t, r, rng):
         raise InputError(
             f"expected edge count C(t, r) p = {expected:.3g} is below 1",
             witness={"t": t, "r": r, "p": p, "expected_edges": expected},
+        )
+    if t > MAX_FILE_VERTICES:
+        raise InputError(
+            f"vertex count t exceeds {MAX_FILE_VERTICES}",
+            witness={"t": t, "max_vertices": MAX_FILE_VERTICES},
         )
 
     stream = rng.substream("edges")

@@ -486,6 +486,19 @@ def first_loose_triangle(h):
     return None
 
 
+def set_triangle_witness(g):
+    """triangle_witness by a set of all edges: for u ascending, the first
+    pair v < w of u's neighbours above u that is an edge, the pairs taken
+    in lexicographic order."""
+    edges = g.upper_edges()
+    present = set(edges)
+    for u, group in itertools.groupby(edges, lambda e: e[0]):
+        above = [v for _, v in group]
+        if len(above) > 1 and not present.isdisjoint(itertools.combinations(above, 2)):
+            return next((u, v, w) for v, w in itertools.combinations(above, 2) if (v, w) in present)
+    return None
+
+
 def all_roots_short_cycle(g, max_len):
     """A shortest cycle of length <= max_len as a vertex list, else None.
 

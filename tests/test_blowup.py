@@ -20,7 +20,9 @@ from erdos_rogers import (
     theorem1_failure_bound,
 )
 from erdos_rogers.graphs import Graph, triangle_witness
-from oracles import blowup_hom_oracle, gnp_graph, hom_exists
+from erdos_rogers.efr import efr_hypergraph
+from erdos_rogers.hypergraphs import line_intersection_graph
+from oracles import blowup_hom_oracle, gnp_graph, hom_exists, set_triangle_witness
 
 SEEDS = [0, 1, 5, 17, 99]
 
@@ -76,6 +78,16 @@ def test_blowup_triangle_free_when_pattern_is():
     cover = CliqueCover(12, [tuple(range(12))])
     g = random_blowup(cover, cycle_graph(5), rng)
     assert triangle_witness(g) is None
+
+
+def test_triangle_scan_matches_the_edge_set_reference_on_efr_blowups():
+    # the (2,50,6) line graph and its blowups: triangle-free ones, and
+    # K3 and K4 blowups, whose first triangle the two scans must agree on
+    line, cover = line_intersection_graph(efr_hypergraph(2, 50, 6).hypergraph)
+    graphs = [line] + [random_blowup(cover, named_graph(f), SeededRng(1, "theorem1")) for f in ("k2", "c4", "k3", "k4")]
+    witnesses = [triangle_witness(g) for g in graphs]
+    assert witnesses == [set_triangle_witness(g) for g in graphs]
+    assert witnesses[1:3] == [None, None] and None not in witnesses[3:]
 
 
 def test_square_clique_cover_on_c6():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from erdos_rogers import Hypergraph, complete_bipartite, read_graph, write_graph, named_graph
+from erdos_rogers import Graph, Hypergraph, complete_bipartite, read_graph, write_graph, named_graph
 from erdos_rogers.hypergraphs import write_hypergraph
 from erdos_rogers.cli import main
 from oracles import circulant_regular, disjoint_cycles
@@ -584,6 +584,37 @@ def test_pipeline_ckfree_summary_line(tmp_path, capsys):
     code, out, _ = run(["pipeline", "ckfree", "--in", pet, "--k", "5", "--seed", "0"], capsys)
     assert code == 0
     assert "branch=" in out and "size=" in out and "runtime_ms=" in out
+
+
+def test_pipeline_ckfree_odd_k_on_a_bipartite_host_exit_0(tmp_path):
+    # the 100-regular bipartite circulant on 500 + 500 vertices has no
+    # 5-cycle; one 2-colouring says so instead of a walk of about 10^9 paths
+    edges = [(i, 500 + (i + j) % 500) for i in range(500) for j in range(100)]
+    host = str(tmp_path / "circ1000.g")
+    write_graph(host, Graph(1000, edges))
+    proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", "pipeline", "ckfree",
+                           "--in", host, "--k", "5", "--seed", "1"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert " branch=whole_set size=1000 " in proc.stdout
+
+
+GIRTH_SAMPLE_PAST_THE_FILE_LIMIT = [
+    ["construct", "girth-hypergraph", "--t", "1000000000000", "--r", "3", "--seed", "1"],
+    ["construct", "theorem4-part2", "--g", "c4", "--t", "1000000000000", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("command", GIRTH_SAMPLE_PAST_THE_FILE_LIMIT, ids=lambda c: c[1])
+def test_girth_sample_past_the_file_limit_exit_3(tmp_path, command):
+    # t is refused before combinations(range(t), r) is formed
+    out_path = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", *command, "--out", str(out_path)],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["witness"] == {"t": 10**12, "max_vertices": 10**7}
+    assert not out_path.exists()
 
 
 def test_ramsey_witness_cli(tmp_path, capsys):

@@ -45,6 +45,7 @@ from oracles import (
     gnp_graph,
     numpy_rng,
     rebuild_prune_short_cycles,
+    set_triangle_witness,
 )
 
 SEEDS = [0, 1, 7, 42, 1234]
@@ -462,7 +463,7 @@ def test_edges_match_pair_scan(g):
     expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
     assert g.edges() == expected
     assert len(expected) == g.m
-    assert triangle_witness(g) == first_triangle_by_pairs(g)
+    assert triangle_witness(g) == first_triangle_by_pairs(g) == set_triangle_witness(g)
     check_forms_agree(g)
 
 
@@ -471,7 +472,7 @@ def test_edges_match_pair_scan(g):
 def test_edges_and_triangle_witness_match_pair_scans(g, mask):
     expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
     assert g.edges() == expected
-    assert triangle_witness(g) == first_triangle_by_pairs(g)
+    assert triangle_witness(g) == first_triangle_by_pairs(g) == set_triangle_witness(g)
     check_forms_agree(g)
     mask &= g.full_mask()
     sub, members = induced_subgraph_with_map(g, mask)

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from erdos_rogers import (
     hypergraph_is_triangle_free,
     line_intersection_graph,
 )
-from erdos_rogers.covers import _first_shared_pair, _later_meeting, _meeting_incidence
+from erdos_rogers.covers import _first_shared_pair, _incidence, _later_sets, _shares_a_pair
 from erdos_rogers.hypergraphs import hypergraph_from_text, hypergraph_to_text, vertex_clique_cover
 from oracles import all_pairs_loose_cycles, first_loose_triangle, naive_loose_cycles, seeded_sample
 
@@ -263,22 +265,32 @@ def test_text_matches_the_line_by_line_reference():
 
 
 def test_incidence_lists_only_where_edges_meet():
-    # a vertex in fewer than two edges gets the shared empty tuple from both
-    # sweeps of covers._incidence_sweep: it adds no pair, no meeting edge
-    # and no clique; vertex_edges() keeps every incidence
+    # a vertex in fewer than two edges gets no slice of covers._incidence:
+    # it adds no pair, no meeting edge and no clique
     degrees = set()
     for seed in range(60):
         h = _random_hypergraph(seed)
         through = [[i for i, e in enumerate(h.edges) if v in e] for v in range(h.n)]
         degrees.update(map(len, through))
-        assert h.vertex_edges() == [t if t else () for t in through]
-        assert _meeting_incidence(h.edges, h.n) == [t if len(t) > 1 else () for t in through]
+        meeting, starts, flat = _incidence(h.edges, h.n)
+        assert meeting == [v for v, t in enumerate(through) if len(t) > 1]
+        assert [flat[a:b] for a, b in zip(starts, starts[1:])] == [t for t in through if len(t) > 1]
+        assert (starts[0], starts[-1]) == (0, len(flat))
         assert vertex_clique_cover(h).cliques == tuple(tuple(t) for t in through if len(t) > 1)
-        inc = [()] * h.n
-        later = list(_later_meeting(h.edges, inc))[::-1]
-        assert inc == [t[::-1] if len(t) > 1 else () for t in through]
-        assert later == [{k for k in range(i + 1, h.m) if set(h.edges[k]) & set(e)} for i, e in enumerate(h.edges)]
+        up = _later_sets(starts, flat, h.m)
+        for i, e in enumerate(h.edges):
+            later = [k for v in e if len(through[v]) > 1 for k in through[v] if k > i]
+            assert sorted(up[i]) == sorted(later)
+            assert set(up[i]) == {k for k in range(i + 1, h.m) if set(h.edges[k]) & set(e)}
+        assert _shares_a_pair(h.edges, h.n) == (_first_shared_pair(h.edges)[1] is not None)
     assert {0, 1, 2, 3} <= degrees
+    # one int object per edge index, past the cached small ints, shared by
+    # the slices and so by the cliques cut from them
+    path = Hypergraph(601, [(i, i + 1) for i in range(600)], 2)
+    _, _, flat = _incidence(path.edges, path.n)
+    cliques = vertex_clique_cover(path).cliques
+    for indices in (flat, list(chain.from_iterable(cliques))):
+        assert len(indices) == 2 * 599 and len(set(map(id, indices))) == 600
 
 
 def test_text_round_trip():

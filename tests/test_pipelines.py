@@ -141,19 +141,36 @@ try:
 except ImportError:
     resource = None
 
-PEAK_RSS_PROBE = """
-import hashlib, resource, sys
-from erdos_rogers import SeededRng, graph_to_text, named_graph, theorem1_build
-g, cert = theorem1_build(2, 65, 6, named_graph("c5"), SeededRng(1, "theorem1"))
 # on Linux a child keeps its parent's ru_maxrss across exec, so the test
-# runner's own peak would count; VmHWM is this process's high-water mark
+# runner's own peak would count; VmHWM is the probe's own high-water mark
+PEAK_RSS_READING = """
 try:
     with open("/proc/self/status") as fh:
         print(next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmHWM:")))
 except OSError:
     unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
+"""
+
+PEAK_RSS_PROBE = """
+import hashlib, resource, sys
+from erdos_rogers import SeededRng, graph_to_text, named_graph, theorem1_build
+g, cert = theorem1_build(2, 65, 6, named_graph("c5"), SeededRng(1, "theorem1"))
+""" + PEAK_RSS_READING + """
 print(hashlib.sha256(graph_to_text(g).encode()).hexdigest())
+print(hashlib.sha256(cert.to_json_bytes()).hexdigest())
+"""
+
+# the efr job of the benchmark at the same size: build, audit, write
+EFR_PEAK_RSS_PROBE = """
+import hashlib, resource, sys
+from erdos_rogers.efr import efr_certificate, efr_hypergraph
+from erdos_rogers.hypergraphs import hypergraph_to_text
+inst = efr_hypergraph(2, 65, 6)
+cert = efr_certificate(inst)
+text = hypergraph_to_text(inst.hypergraph)
+""" + PEAK_RSS_READING + """
+print(hashlib.sha256(text.encode()).hexdigest())
 print(hashlib.sha256(cert.to_json_bytes()).hexdigest())
 """
 
@@ -164,21 +181,42 @@ THEOREM1_REFEREE_SHA256 = (
     "7a0d7562a418c7435608a70219d89b6f8bc2a179550ecf3019fb2dc7e83c7b71",
 )
 
+# sha256 of hypergraph_to_text and of the efr_certificate bytes at (2,65,6)
+EFR_REFEREE_SHA256 = (
+    "3a0a37998c1ed59608d1e4e17f93d573d5ac164e263d795a8e9c4521614b77b9",
+    "3324238c3975c8eba6c51e140eef795a262919cb043d676d977afd2f4739707a",
+)
+
+
+def _probe(code):
+    """(VmHWM in MB, output sha256s) of the probe run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(erdos_rogers.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    peak_mb, *shas = out.stdout.split()
+    return float(peak_mb), tuple(shas)
+
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 def test_theorem1_peak_memory():
     # 33,800 hyperedges: the output graph keeps its 97,168 edges and builds
     # no rows, the hypergraph is gone before the blowup, and the build
-    # peaked at 41.2-41.4 MB on Python 3.11.7, 36.7 MB on 3.10.13 and
-    # 39.2 MB on 3.12.1 (the bound is the largest plus 20%);
+    # peaked at 34.4-34.6 MB on Python 3.10.13, 39.1-39.3 MB on 3.11.7 and
+    # 37.1 MB on 3.12.1 (the bound is the largest plus 20%);
     # 33,800-bit rows for the output alone would add about 100 MB
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(erdos_rogers.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    peak_mb, graph_sha, cert_sha = out.stdout.split()
-    assert float(peak_mb) < 49.5
-    assert (graph_sha, cert_sha) == THEOREM1_REFEREE_SHA256
+    peak_mb, shas = _probe(PEAK_RSS_PROBE)
+    assert peak_mb < 47.1
+    assert shas == THEOREM1_REFEREE_SHA256
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_efr_peak_memory():
+    # 33,800 edges on 384,475 declared vertices, 98,575 of them used: one
+    # int object per vertex id and one flat incidence for the triangle
+    # audit; the job peaked at 34.6-34.7 MB on Python 3.10.13, 39.4-39.5 MB
+    # on 3.11.7 and 37.2 MB on 3.12.1 (the bound is the largest plus 20%)
+    peak_mb, shas = _probe(EFR_PEAK_RSS_PROBE)
+    assert peak_mb < 47.3
+    assert shas == EFR_REFEREE_SHA256
 
 
 # ---------------------------------------------------------------------------
