@@ -14,7 +14,6 @@ from itertools import combinations
 from .covers import CliqueCover
 from .errors import InputError, SelfCheckError
 from .graphs import Graph, as_mask, bipartition_violation, bits
-from .rng import _numbered_substreams
 from .subgraph import _plan, _run_plans
 
 
@@ -38,10 +37,9 @@ def random_blowup(cover, pattern, rng):
         )
     t = pattern.n
     prows = pattern.rows()
-    clique_stream = _numbered_substreams(rng, "clique-")
     kept = []
     for i, clique in enumerate(cover.cliques):
-        draw = clique_stream(i).randrange
+        draw = rng.substream(f"clique-{i}").randrange
         colored = [(v, draw(t)) for v in clique]
         kept.extend([(u, v) for (u, cu), (v, cv) in combinations(colored, 2) if (prows[cu] >> cv) & 1])
     return Graph(cover.n, kept)

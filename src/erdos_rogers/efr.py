@@ -23,29 +23,15 @@ from .hypergraphs import Hypergraph, hypergraph_is_triangle_free
 
 def sphere_points(d, r):
     """The tuple of all x in Z^d with every coordinate >= 1 and
-    sum x_i^2 = r^2, in increasing lexicographic order."""
+    sum x_i^2 = r^2, in increasing lexicographic order: the heads in
+    [1, r)^(d-1) ascending, each completed when the rest is a positive square."""
     if d < 1 or r < 1:
         raise InputError("sphere_points requires d >= 1 and r >= 1")
-    target = r * r
     points = []
-    prefix = [0] * d
-
-    def rec(i, remaining):
-        if i == d - 1:
-            root = math.isqrt(remaining)
-            if root >= 1 and root * root == remaining:
-                prefix[i] = root
-                points.append(tuple(prefix))
-            return
-        # leave at least 1 per remaining coordinate
-        slack = remaining - (d - 1 - i)
-        x = 1
-        while x * x <= slack:
-            prefix[i] = x
-            rec(i + 1, remaining - x * x)
-            x += 1
-
-    rec(0, target)
+    for head in product(range(1, r), repeat=d - 1):
+        rest = r * r - sum(map(mul, head, head))
+        if rest > 0 and (root := math.isqrt(rest)) ** 2 == rest:
+            points.append(head + (root,))
     return tuple(points)
 
 

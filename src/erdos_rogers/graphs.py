@@ -92,7 +92,8 @@ class Graph:
     __slots__ = ("n", "_m", "_rows", "_edges")
 
     def __init__(self, n, edges=()):
-        """Pairs may come in either orientation and repeat; a self-loop or
+        """Pairs may come in either orientation and repeat; an endpoint
+        whose type is not int (bools and floats included), a self-loop or
         an endpoint outside range(n) is refused, naming the first such
         pair.  A given tuple (u, v) with u < v is kept as it is, so that a
         large edge list is not held twice while the graph is built; the
@@ -103,6 +104,8 @@ class Graph:
         upper = []
         for pair in edges:
             u, v = pair
+            if type(u) is not int or type(v) is not int:
+                raise InputError("edge endpoints must be integers", witness={"edge": [u, v]})
             if u == v:
                 raise InputError("self-loop rejected", witness={"vertex": u})
             if not (0 <= u < n and 0 <= v < n):

@@ -26,7 +26,8 @@ from .graphs import Graph, _check_vertex_count, read_text
 
 
 class Hypergraph:
-    """Edges are strictly increasing vertex tuples; order of the edge list
+    """Edges are strictly increasing tuples of int vertices, each checked
+    by `_check_each_edge` whether or not r is given; order of the edge list
     is preserved (constructions rely on it for stable indexing)."""
 
     __slots__ = ("n", "edges", "r")
@@ -35,8 +36,7 @@ class Hypergraph:
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         canon = tuple(map(tuple, edges))
-        if not (r and _uniform_edges_valid(canon, n, r)):
-            _check_each_edge(canon, n, r)
+        _check_each_edge(canon, n, r)
         self.n = n
         self.edges = canon
         self.r = r
@@ -49,30 +49,17 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m}, r={self.r})"
 
 
-def _uniform_edges_valid(edges, n, r):
-    """Whether r-vertex tuples pass every check of `_check_each_edge`,
-    tested column by column: position k below position k + 1 in every
-    edge, the first column at least 0, the last below n, no repeats."""
-    if not set(map(len, edges)) <= {r}:
-        return False
-    columns = list(zip(*edges))
-    if not columns:
-        return True
-    return (
-        all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
-        and min(columns[0]) >= 0
-        and max(columns[-1]) < n
-        and len(set(edges)) == len(edges)
-    )
-
-
 def _check_each_edge(edges, n, r):
-    """Check the edges one by one: InputError names the first that is not
-    strictly increasing, leaves range(n), breaks the uniformity r or
-    repeats an earlier edge, checked in that order."""
+    """InputError names the first edge holding a vertex whose type is not
+    int, found in one pass before anything else; then, edge by edge, the
+    first that is not strictly increasing, leaves range(n), breaks the
+    uniformity r or repeats an earlier edge, checked in that order."""
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:
+        t = next(t for t in edges if not set(map(type, t)) <= {int})
+        raise InputError("edge vertices must be integers", witness={"edge": list(t)})
     seen = set()
     for t in edges:
-        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+        if not all(map(lt, t, t[1:])):
             raise InputError("edge vertices must be strictly increasing", witness={"edge": list(t)})
         if not t or t[0] < 0 or t[-1] >= n:
             raise InputError("edge vertex out of range", witness={"edge": list(t)})

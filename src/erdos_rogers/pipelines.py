@@ -178,12 +178,14 @@ def ckfree_subset(g, k, rng, budget=DEFAULT_SET_BUDGET):
 
     The middle range also records `cycle_density`: the vertex v0 on the
     most k-cycles, their number, delta = that number / d^(k-1), and the
-    paper's cutoff n^(-1/25).  The paper takes its dense-pair and
-    dependent-random-choice step only when delta >= n^(-1/25), and that
-    never happens here: a vertex lies on at most d (d-1)^(k-2) / 2 <
-    d^(k-1) / 2 k-cycles, so delta < 1/2, while n^(-1/25) >= 1/2 for every
-    n <= 2^25, above the 10^7 vertices a graph file may declare.  Both
-    engines of that step remain as `search ckprop` and `search drc`."""
+    paper's cutoff n^(-1/25), with "partial": true when the cycle list
+    stopped at its cap and these count only the cycles listed.  The paper
+    takes its dense-pair and dependent-random-choice step only when
+    delta >= n^(-1/25), and that never happens here: a vertex lies on at
+    most d (d-1)^(k-2) / 2 < d^(k-1) / 2 k-cycles, so delta < 1/2, while
+    n^(-1/25) >= 1/2 for every n <= 2^25, above the 10^7 vertices a graph
+    file may declare.  Both engines of that step remain as `search ckprop`
+    and `search drc`."""
     if k < 3:
         raise InputError("k >= 3 required")
     _require_absent(g, complete_graph(4), "K4")
@@ -246,10 +248,10 @@ def ckfree_subset(g, k, rng, budget=DEFAULT_SET_BUDGET):
                 delta_max = max(per_vertex)
                 v0 = per_vertex.index(delta_max)
                 delta = delta_max / d ** (k - 1)
-                cutoff = n ** (-1.0 / 25.0)
-                cert.add_measurement(
-                    "cycle_density", {"v0": v0, "max_through": delta_max, "delta": delta, "cutoff": cutoff}
-                )
+                density = {"v0": v0, "max_through": delta_max, "delta": delta, "cutoff": n ** (-1.0 / 25.0)}
+                if truncated:
+                    density["partial"] = True
+                cert.add_measurement("cycle_density", density)
 
     best_label, best_mask = None, 0
     sizes = {}

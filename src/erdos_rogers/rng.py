@@ -5,7 +5,8 @@ generator is counter based: word i of the stream labeled (seed, label) is
 a slice of blake2b(seed || label || block_index), so the value sequence
 depends only on (seed, label, counter) and is identical on every platform.
 Substreams are derived by extending the label, never by drawing from the
-parent, so sibling substreams are independent of consumption order.
+parent, so sibling substreams are independent of consumption order; each
+is keyed from a copy of one kept state, fed only its own sub-label.
 """
 
 import hashlib
@@ -27,7 +28,7 @@ def _label_state(seed, label):
 class SeededRng:
     """Counter-based deterministic RNG keyed by (seed, label, counter)."""
 
-    __slots__ = ("seed", "label", "_key", "_keyed", "_block", "_buf", "_pos")
+    __slots__ = ("seed", "label", "_key", "_keyed", "_block", "_buf", "_pos", "_children")
 
     def __init__(self, seed, label="root"):
         seed = int(seed) & _MASK64
@@ -42,10 +43,19 @@ class SeededRng:
         self._block = 0
         self._buf = ()
         self._pos = 0
+        self._children = None
 
     def substream(self, label):
-        """A fresh independent stream for the given sub-label."""
-        return SeededRng(self.seed, f"{self.label}/{label}")
+        """The stream SeededRng(seed, f"{self.label}/{label}"), keyed from a
+        copy of the kept state fed with seed || 0x1f || self.label || "/"."""
+        if self._children is None:
+            self._children = _label_state(self.seed, self.label + "/")
+        label = str(label)
+        h = self._children.copy()
+        h.update(label.encode("utf-8"))
+        child = SeededRng.__new__(SeededRng)
+        child._start(self.seed, f"{self.label}/{label}", h.digest())
+        return child
 
     def state(self):
         """Seed record suitable for a certificate."""
@@ -132,21 +142,3 @@ class SeededRng:
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, label={self.label!r})"
 
-
-def _numbered_substreams(rng, prefix):
-    """The function i -> rng.substream(f"{prefix}{i}"), giving the same
-    streams: the blake2b state fed with seed || 0x1f || label/prefix is
-    built once and copied for each i, which then only feeds in the digits
-    of i."""
-    label = f"{rng.label}/{prefix}"
-    head = _label_state(rng.seed, label)
-
-    def substream(i):
-        tail = str(i)
-        h = head.copy()
-        h.update(tail.encode())
-        stream = SeededRng.__new__(SeededRng)
-        stream._start(rng.seed, label + tail, h.digest())
-        return stream
-
-    return substream

@@ -586,17 +586,38 @@ def test_pipeline_ckfree_summary_line(tmp_path, capsys):
     assert "branch=" in out and "size=" in out and "runtime_ms=" in out
 
 
-def test_pipeline_ckfree_odd_k_on_a_bipartite_host_exit_0(tmp_path):
-    # the 100-regular bipartite circulant on 500 + 500 vertices has no
-    # 5-cycle; one 2-colouring says so instead of a walk of about 10^9 paths
+def _bipartite_circulant_1000(tmp_path):
+    """The 100-regular bipartite circulant on 500 + 500 vertices, written
+    to a file: left i is adjacent to right i + j mod 500, j < 100."""
     edges = [(i, 500 + (i + j) % 500) for i in range(500) for j in range(100)]
     host = str(tmp_path / "circ1000.g")
     write_graph(host, Graph(1000, edges))
+    return host
+
+
+def test_pipeline_ckfree_odd_k_on_a_bipartite_host_exit_0(tmp_path):
+    # the circulant has no 5-cycle; one 2-colouring says so instead of a
+    # walk of about 10^9 paths
+    host = _bipartite_circulant_1000(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", "pipeline", "ckfree",
                            "--in", host, "--k", "5", "--seed", "1"],
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert " branch=whole_set size=1000 " in proc.stdout
+
+
+def test_pipeline_ckfree_marks_a_density_from_a_truncated_list_partial(tmp_path):
+    # the circulant has far more 4-cycles than the list cap, so the cycle
+    # density of the middle range counts only the cycles listed
+    host = _bipartite_circulant_1000(tmp_path)
+    cert = tmp_path / "ck4.cert.json"
+    proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", "pipeline", "ckfree",
+                           "--in", host, "--k", "4", "--seed", "1", "--cert", str(cert)],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    measurements = json.loads(cert.read_text())["measurements"]
+    assert measurements["k_cycles"]["truncated"] is True
+    assert measurements["cycle_density"]["partial"] is True
 
 
 GIRTH_SAMPLE_PAST_THE_FILE_LIMIT = [

@@ -234,6 +234,23 @@ def test_uniformity_enforced():
         ([(0, 1, 1)], "strictly increasing", (0, 1, 1)),
         ([(0, 1, 2), (2, 3, 4), (0, 1, 2)], "duplicate", (0, 1, 2)),
         ([(0, 1, 2), (3, 4), (0, 1, 9)], "uniformity", (3, 4)),
+        # uniform inputs, every edge of size r: each kind of refusal, and
+        # the first of two faults
+        ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 1, 4), (0, 2, 4), (1, 3, 5)], "out of range", (1, 3, 5)),
+        ([(0, 1, 2), (1, 2, 3), (-2, 3, 4)], "out of range", (-2, 3, 4)),
+        ([(0, 1, 2), (1, 3, 2), (2, 3, 4)], "strictly increasing", (1, 3, 2)),
+        ([(0, 1, 2), (1, 2, 3), (2, 3, 3)], "strictly increasing", (2, 3, 3)),
+        ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (1, 2, 3)], "duplicate", (1, 2, 3)),
+        ([(0, 1, 2), (0, 1, 2), (1, 2, 9)], "duplicate", (0, 1, 2)),
+        ([(0, 1, 2), (4, 3, 9), (0, 1, 2)], "strictly increasing", (4, 3, 9)),
+        ([(0, 1, 2), (0, 1, 2, 3)], "uniformity", (0, 1, 2, 3)),
+        # a vertex whose type is not int, found in one pass over every
+        # vertex before the per-edge checks
+        ([(0.5, 1, 2), (True, 2, 3)], "must be integers", (0.5, 1, 2)),
+        ([(0, 1, 2), (True, 2, 3)], "must be integers", (True, 2, 3)),
+        ([(0.5,), (1, 2, 3)], "must be integers", (0.5,)),
+        ([(0, 1, 2), ("2", "3", "4")], "must be integers", ("2", "3", "4")),
+        ([(2, 1, 0), (0, 1, 9), (0, 1, 2), (0, 1, 2), (1, 2, 3.0)], "must be integers", (1, 2, 3.0)),
     ],
 )
 def test_edge_checks_name_the_first_bad_edge(edges, fragment, bad):
@@ -252,7 +269,6 @@ def _hypergraph_text_by_lines(h):
 
 def test_text_matches_the_line_by_line_reference():
     hypergraphs = [Hypergraph(0, []), Hypergraph(4, [], 3), Hypergraph(5, [(4,), (0, 3)]), LOOSE_TRIANGLE]
-    hypergraphs += [Hypergraph(4, [(0.5, 2), (True, 3)], 2), Hypergraph(4, [(0.5,), (True, 3)])]
     for seed in range(40):
         h = _random_hypergraph(seed)
         rng = SeededRng(seed, "mixed")

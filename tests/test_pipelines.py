@@ -373,7 +373,8 @@ def test_ksfree_requires_s_at_least_4():
 def test_recursive_extractors_leave_no_reference_cycles():
     # the ksfree descent and the sunflower extraction recurse through
     # module-level helpers, so a call leaves nothing for the cyclic collector,
-    # whether it descends, delegates, finds a flower with a core or none
+    # whether it descends, delegates, finds a flower with a core or none;
+    # nor does the EFR build, whose sphere scan is one loop over heads
     ksfree_recursion(complete_bipartite(6, 6), 5, 3, SeededRng(0, "ks"))  # fill the plan cache
     gc.collect()
     gc.disable()
@@ -383,6 +384,7 @@ def test_recursive_extractors_leave_no_reference_cycles():
         flower = erdos_rado_sunflower([{0, 1, 2}, {0, 3, 4}, {0, 5, 6}], 3)
         assert flower.core == {0}
         assert erdos_rado_sunflower([{0, 1}, {0, 2}, {1, 2}], 3) is None
+        assert efr_hypergraph(2, 5, 3).hypergraph.m == 2 * 5**2
         assert gc.collect() == 0
     finally:
         gc.enable()

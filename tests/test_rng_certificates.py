@@ -9,7 +9,6 @@ from erdos_rogers import (
     make_manifest,
     write_manifest,
 )
-from erdos_rogers.rng import _numbered_substreams
 
 SEEDS = [0, 1, 2, 99, 2**40]
 
@@ -37,16 +36,31 @@ def test_substream_isolated_from_parent_consumption():
     assert sub_before == sub_after
 
 
+def _same_stream(sub, fresh):
+    assert (sub.seed, sub.label, sub._key) == (fresh.seed, fresh.label, fresh._key)
+    assert sub.state() == fresh.state()
+    assert [sub.randrange(5) for _ in range(20)] == [fresh.randrange(5) for _ in range(20)]
+    assert [sub.u64() for _ in range(9)] == [fresh.u64() for _ in range(9)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_numbered_substreams_match_substream(seed):
+    # substream keys its child from a copy of one kept state; the child is
+    # the stream SeededRng(seed, f"{label}/{x}") whatever the parent did
+    # before: numbered siblings, a parent that has drawn, nested and
+    # non-ASCII labels
     rng = SeededRng(seed, "theorem1/blowup")
-    clique_stream = _numbered_substreams(rng, "clique-")
     for i in [0, 1, 9, 10, 57, 50_678]:
-        fast, plain = clique_stream(i), rng.substream(f"clique-{i}")
-        assert (fast.seed, fast.label, fast._key) == (plain.seed, plain.label, plain._key)
-        assert [fast.randrange(5) for _ in range(20)] == [plain.randrange(5) for _ in range(20)]
-        assert [fast.u64() for _ in range(9)] == [plain.u64() for _ in range(9)]
-        assert fast.state() == plain.state()
+        _same_stream(rng.substream(f"clique-{i}"), SeededRng(seed, f"theorem1/blowup/clique-{i}"))
+    rng.randrange(10**9)
+    rng.u64()
+    _same_stream(rng.substream("clique-3"), SeededRng(seed, "theorem1/blowup/clique-3"))
+    _same_stream(rng.substream(7), SeededRng(seed, "theorem1/blowup/7"))
+    nested = rng.substream("pair-0-2").substream("place")
+    _same_stream(nested.substream("descend-4"), SeededRng(seed, "theorem1/blowup/pair-0-2/place/descend-4"))
+    wide = SeededRng(seed, "größe-σ")
+    _same_stream(wide.substream("ünï-✓"), SeededRng(seed, "größe-σ/ünï-✓"))
+    _same_stream(wide.substream(""), SeededRng(seed, "größe-σ/"))
 
 
 def test_shuffle_deterministic():
