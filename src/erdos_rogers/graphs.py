@@ -368,6 +368,19 @@ def _two_colourable(rows, mask):
     return True
 
 
+def _odd_cycle_part(g, mask):
+    """The vertices of mask in the connected components of g whose part
+    inside mask is not 2-colourable.  An odd cycle inside mask lies in one
+    component, so no other vertex of mask is on one."""
+    rows = g.rows()
+    part = 0
+    for comp in connected_components(g):
+        inside = mask_of(comp) & mask
+        if inside and not _two_colourable(rows, inside):
+            part |= inside
+    return part
+
+
 def _girth_at_most(rows, max_len, lower=3):
     """The girth of the graph with adjacency rows `rows` if it is at most
     max_len, else None; `lower` is a known lower bound on the girth.

@@ -26,7 +26,7 @@ from .graphs import (
     MAX_FILE_VERTICES,
     Graph,
     VertexSet,
-    _two_colourable,
+    _odd_cycle_part,
     bits,
     complete_graph,
     cycle_graph,
@@ -54,7 +54,7 @@ from .search import (
     max_independent_set,
     spencer_independent_set,
 )
-from .subgraph import contains_subgraph
+from .subgraph import _extension_masks, contains_subgraph
 
 
 def _pattern_descr(g):
@@ -73,9 +73,10 @@ def _require_absent(host, pattern, what):
 def _has_k_cycle(g, mask, k):
     """Does the subgraph induced on mask contain a k-cycle?  The audit runs
     without a node budget: it must decide, whatever the input size.  An
-    odd k on a 2-colourable mask is decided by one BFS 2-colouring."""
-    if k % 2 and _two_colourable(g.rows(), mask):
-        return False
+    odd k searches only the components whose part in mask is not
+    2-colourable."""
+    if k % 2:
+        mask = _odd_cycle_part(g, mask)
     return contains_subgraph(g, cycle_graph(k), budget=math.inf, within=mask).found
 
 
@@ -725,36 +726,12 @@ class BruteForceResult:
         return f"BruteForceResult(value={self.value}, exact={self.exact})"
 
 
-def _with_new_vertex(rows, nbhd):
-    """The graph with these rows plus vertex len(rows) joined to the
-    vertices of the mask nbhd, built from the rows: each neighbour's row
-    gains the new bit, and nbhd is the new row."""
+def _child_rows(rows, nbhd):
+    """The rows of the graph with these rows plus vertex len(rows) joined
+    to the vertices of the mask nbhd: each neighbour's row gains the new
+    bit, and nbhd is the new row."""
     bit = 1 << len(rows)
-    return Graph.from_rows([r | bit if (nbhd >> u) & 1 else r for u, r in enumerate(rows)] + [nbhd])
-
-
-# what gfree_graph_reps knows of a neighbourhood; 0 is untried or "unknown"
-_FOUND, _ABSENT = 1, 2
-
-
-def _known_answer(answers, nbhd, twins):
-    """The containment answer for nbhd that earlier neighbourhoods of the
-    same base decide, or 0.  Down-closure: a copy through the new vertex
-    stays when it gains neighbours, so nbhd is found when some nbhd - {y}
-    was.  Twin swap: for twins u < w of the base (bits lo, hi), nbhd holding
-    w but not u has the answer of nbhd - w + u, an isomorphic child."""
-    rest = nbhd
-    while rest:
-        low = rest & -rest
-        if answers[nbhd ^ low] == _FOUND:
-            return _FOUND
-        rest ^= low
-    for lo, hi in twins:
-        if nbhd & hi and not nbhd & lo:
-            known = answers[nbhd ^ hi ^ lo]
-            if known:
-                return known
-    return 0
+    return [r | bit if nbhd >> u & 1 else r for u, r in enumerate(rows)] + [nbhd]
 
 
 def _degree_relabelling(rows):
@@ -794,17 +771,43 @@ def _degree_relabelling(rows):
     return tuple(label)
 
 
+def _found_neighbourhoods(rows, pattern):
+    """The neighbourhoods N for which the graph with these rows plus a new
+    vertex joined to N holds a copy of the pattern through that vertex, as
+    one 2^len(rows)-bit integer with bit N set for each.  They are the N
+    containing an extension mask, so the masks' bits are closed upwards,
+    one shift-or step per vertex j: every found N without j finds N + j."""
+    found = 0
+    for mask in _extension_masks(rows, pattern):
+        found |= 1 << mask
+    if not found:
+        return 0
+    for j in range(len(rows)):
+        found |= (found & _neighbourhoods_without(len(rows), j)) << (1 << j)
+    return found
+
+
+def _neighbourhoods_without(size, j):
+    """The neighbourhoods N of a new vertex over `size` vertices that miss
+    vertex j, as one 2^size-bit integer with bit N set for each: runs of
+    2^j ones, 2^(j+1) apart."""
+    step = 1 << j
+    return ((1 << step) - 1) * (((1 << (1 << size)) - 1) // ((1 << 2 * step) - 1))
+
+
 def gfree_graph_reps(g_pattern, n, budget=None):
     """All g-free graphs on exactly n vertices up to isomorphism, built by
     vertex-by-vertex augmentation with canonical-form deduplication.
     Returns (list of Graphs, exact flag, per-level counts).
 
-    Each base tries its neighbourhoods for the new vertex in increasing
-    order, and every one counts against the budget.  A neighbourhood whose
-    answer _known_answer decides is skipped: a found one adds nothing, and
-    an absent one is a twin swap of an earlier child whose key is already
-    in `seen`.  The rest get a containment search; it only has to tell
-    found from absent, so it runs masked, in index order.
+    Each base B on `size` vertices decides all its children B + v(N) at
+    once: _found_neighbourhoods gives, from B's extension masks, the N
+    whose child holds a copy of g through v, as one 2^size-bit integer
+    with bit N set for each.  An N holding the larger of two twins u < w
+    of B but not the smaller joins the skipped bits: swapping the twins
+    gives an isomorphic, smaller child, already tried.  The other N are
+    tried in increasing order.  Every N, skipped or tried, counts against
+    the budget, so the budget cuts a base at a neighbourhood index.
 
     An absent child is then relabelled by _degree_relabelling.  A
     relabelling is an isomorphism, so two children with the same relabelled
@@ -812,10 +815,11 @@ def gfree_graph_reps(g_pattern, n, budget=None):
     only decide how often isomorphic children meet.  A child whose
     relabelled rows an earlier child of this level had is therefore a
     duplicate, its key already in `seen`, and it is skipped.  Only the
-    others are keyed by canonical_form.  So the graphs kept are the ones
-    trying every neighbourhood would keep: the first child per key, in the
-    order of the keys.  Bucketing by an invariant would save no call, since
-    every class needs its key for that order and every duplicate a proof."""
+    others become a Graph keyed by canonical_form.  So the graphs kept are
+    the ones trying every neighbourhood would keep: the first child per
+    key, in the order of the keys.  Bucketing by an invariant would save no
+    call, since every class needs its key for that order and every
+    duplicate a proof."""
     if n < 1:
         raise InputError("n >= 1 required")
     reps = [Graph(1, [])]
@@ -825,42 +829,31 @@ def gfree_graph_reps(g_pattern, n, budget=None):
     for size in range(1, n):
         seen = {}
         labels = set()
-        full = (2 << size) - 1
+        without = [_neighbourhoods_without(size, j) for j in range(size)]
         for base in reps:
+            limit = 1 << size
+            if budget is not None and steps + limit > budget:
+                limit = max(budget - steps, 0)
+                exact = False
+            steps += limit
             base_rows = base.rows()
-            twins = [
-                (1 << u, 1 << w)
-                for w in range(size)
-                for u in range(w)
-                if base_rows[u] & ~(1 << w) == base_rows[w] & ~(1 << u)
-            ]
-            answers = bytearray(1 << size)
-            for nbhd in range(1 << size):
-                steps += 1
-                if budget is not None and steps > budget:
-                    exact = False
-                    break
-                known = _known_answer(answers, nbhd, twins)
-                if known:
-                    answers[nbhd] = known
-                    continue
-                cand = _with_new_vertex(base_rows, nbhd)
-                hit = contains_subgraph(cand, g_pattern, forced_vertex=size, within=full)
-                if hit.status == "found":
-                    answers[nbhd] = _FOUND
-                    continue
-                if hit.status == "unknown":
-                    exact = False
-                    continue
-                answers[nbhd] = _ABSENT
-                label = _degree_relabelling(cand.rows())
+            skip = _found_neighbourhoods(base_rows, g_pattern)
+            for w in range(size):
+                for u in range(w):
+                    if base_rows[u] & ~(1 << w) == base_rows[w] & ~(1 << u):
+                        # twins u < w: N holding w but not u
+                        skip |= without[u] & ~without[w]
+            for nbhd in bits(~skip & ((1 << limit) - 1)):
+                rows = _child_rows(base_rows, nbhd)
+                label = _degree_relabelling(rows)
                 if label in labels:
                     continue
                 labels.add(label)
+                cand = Graph.from_rows(rows)
                 key = canonical_form(cand)
                 if key not in seen:
                     seen[key] = cand
-            if not exact and budget is not None and steps > budget:
+            if not exact:
                 break
         reps = [seen[k] for k in sorted(seen)]
         counts.append(len(reps))

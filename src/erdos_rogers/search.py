@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import InputError, SelfCheckError
-from .graphs import VertexSet, _two_colourable, as_mask, bits
+from .graphs import VertexSet, _odd_cycle_part, as_mask, bits
 from .subgraph import contains_subgraph
 
 
@@ -298,17 +298,18 @@ def list_k_cycles(g, k, through=None, cap=None):
 
     With through=v0, cycles containing v0 (tuples start at v0); otherwise
     all cycles, each rooted at its minimum vertex.  With cap set, stops
-    after cap cycles and reports truncation.  An odd k on a 2-colourable
-    graph allows no k-cycle, so one BFS 2-colouring answers then, with no
-    path walked.
+    after cap cycles and reports truncation.  A connected component that
+    is 2-colourable holds no cycle of odd length, so an odd k walks no path
+    from a root in one.
     Returns (cycles, truncated)."""
     _check_cycle_args(k)
     rows = g.rows()
-    if k % 2 and _two_colourable(rows, g.full_mask()):
-        return [], False
+    live = _odd_cycle_part(g, g.full_mask()) if k % 2 else g.full_mask()
     out = []
     roots = [through] if through is not None else range(g.n)
     for root in roots:
+        if not live >> root & 1:
+            continue
         # the vertices a cycle through root may use after it
         allowed = ~(1 << root) if through is not None else -2 << root
         for s in bits(rows[root] & allowed):

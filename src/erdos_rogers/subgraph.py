@@ -5,13 +5,14 @@ inside a host: an injective map sending pattern edges to host edges.  With
 within=mask only the host vertices in the mask may be used, so a copy inside
 an induced subgraph is found without building that subgraph; with
 forced_vertex=v only copies through v count.  This is the one containment
-core: F-free subset search, the C_k audits of the pipelines, the exact
-oracle's augmentation, every whole-host scan and the homomorphism test
-blowup.is_hom_free call it.  The F-free search first consults what its
-earlier forced searches at a vertex proved, the copies found through it
-and the last set it was free in, and calls the core only when they do not
-decide.  A placed host vertex is used up through the
-`distinct` mask: -1 for a copy, 0 for a homomorphism, whose map may repeat.
+core: F-free subset search, the C_k audits of the pipelines, every
+whole-host scan and the homomorphism test blowup.is_hom_free call it, and
+the exact oracle's augmentation runs its placement loop.  The F-free
+search first consults what its earlier forced searches at a vertex proved,
+the copies found through it and the last set it was free in, and calls the
+core only when they do not decide.  A placed host vertex is used up
+through the `distinct` mask: -1 for a copy, 0 for a homomorphism, whose
+map may repeat.
 
 The search is backtracking over bit rows.  A pattern vertex's candidates are
 the common neighbors of its already placed pattern neighbors, inside the
@@ -27,6 +28,15 @@ per pattern and kept in a small LRU cache keyed on its vertex count and
 edge tuple: a lookup then hashes and compares plain tuples, with no call
 back into Graph, and patterns built apart (every named_graph call builds a
 new one) share their plans.
+The backtracking is one loop that keeps an iterator over the candidates of
+each level.  A search stops at the first complete placement.  The exact
+oracle's extension masks visit every placement instead, on the forced plans
+with their anchor taken off: a new vertex joined to a neighbourhood N of
+the host closes a copy through it exactly when N contains the images of the
+anchor's neighbours under some placement.  That visit enters a partial
+placement only once per state (used vertices, mask so far, the vertices
+later steps join), so the orders of interchangeable vertices, such as the
+leaves of a star, are not enumerated.
 
 Whole-host scans (within=None) try host candidates in ascending (degree,
 index) order, sorting only each node's candidates, which fixes the
@@ -36,6 +46,7 @@ A node budget makes "unknown" a first-class outcome: the search never lies
 about exhaustiveness.
 """
 
+import math
 from functools import lru_cache
 
 from .errors import InputError, SelfCheckError
@@ -142,32 +153,69 @@ def _verify_embedding(host, edges, mapping, within, forced_vertex):
         raise SelfCheckError("embedding misses the forced vertex")
 
 
-def _place(rows, steps, image, i, used, start, within, rank, budget, nodes, distinct):
-    """Place steps i, i+1, ... of a plan by backtracking; nodes[0] counts
-    candidate placements.  True once placed, False when exhausted, None
-    when the budget runs out.  Placed vertices join `used` through the
-    `distinct` mask.  Candidates come in index order, or by rank[v] when
-    rank is given."""
-    earlier, need = steps[i]
-    allowed = start if i == 0 else within & ~used
-    for j in earlier:
-        allowed &= rows[image[j]]
-    candidates = bits(allowed) if rank is None else sorted(bits(allowed), key=rank.__getitem__)
-    last = i + 1 == len(steps)
-    for v in candidates:
-        if (rows[v] & within).bit_count() < need:
+def _place(rows, steps, start, within, rank, budget, distinct, nodes=0, visit=None):
+    """Place the steps of a plan in turn by backtracking, in one loop that
+    keeps an iterator over each level's candidates: level 0 picks from
+    `start`, level i from `within`, minus the vertices used through the
+    `distinct` mask, inside the rows of the earlier steps it names.
+    Candidates come in index order, or by rank[v] when rank is given, and
+    one below the step's needed degree inside `within` is passed over.
+    Each placement counts one node on top of `nodes`; past `budget` the
+    search stops with "unknown".
+
+    Without `visit`, the search stops at the first complete placement and
+    returns ("found", the host vertex per step, nodes), or ("absent", None,
+    nodes) once every candidate is tried.  With visit = (out, marked,
+    refs), it visits every complete placement and adds to the set `out` the
+    mask of the host vertices taken by the steps with marked[i] set; it
+    ends "absent" (or "unknown").  refs[i] names the steps before i that
+    steps from i on join, so a level-i state is its used vertices, its mask
+    so far and those steps' vertices: a state met before has the same
+    masks below it and is not entered again.  Nor is one whose mask so far
+    holds a mask of `out`: every mask below it holds that one too."""
+    last = len(steps) - 1
+    image = [0] * len(steps)
+    used = [0] * len(steps)  # used[i]: what the steps before i used up
+    if visit is not None:
+        out, marked, refs = visit
+        acc = [0] * len(steps)  # acc[i]: the marked vertices of the steps before i
+        states = set()
+    level = [None] * len(steps)
+    level[0] = bits(start) if rank is None else iter(sorted(bits(start), key=rank.__getitem__))
+    i = 0
+    while True:
+        need = steps[i][1]
+        for v in level[i]:
+            if (rows[v] & within).bit_count() >= need:
+                break
+        else:
+            if not i:
+                return "absent", None, nodes
+            i -= 1
             continue
-        nodes[0] += 1
-        if nodes[0] > budget:
-            return None
+        nodes += 1
+        if nodes > budget:
+            return "unknown", None, nodes
         image[i] = v
-        if last:
-            return True
-        sub = _place(rows, steps, image, i + 1, used | (1 << v) & distinct,
-                     start, within, rank, budget, nodes, distinct)
-        if sub is not False:
-            return sub
-    return False
+        if visit is None:
+            if i == last:
+                return "found", image, nodes
+        else:
+            mask = acc[i] | (1 << v if marked[i] else 0)
+            if i == last:
+                out.add(mask)
+                continue
+            state = (i, used[i] | (1 << v) & distinct, mask, *[image[j] for j in refs[i + 1]])
+            if state in states or any(m & mask == m for m in out):
+                continue
+            states.add(state)
+            acc[i + 1] = mask
+        i += 1
+        used[i] = used[i - 1] | (1 << v) & distinct
+        allowed = within & ~used[i]
+        for j in steps[i][0]:
+            allowed &= rows[image[j]]
+        level[i] = bits(allowed) if rank is None else iter(sorted(bits(allowed), key=rank.__getitem__))
 
 
 def _run_plans(rows, plans, budget, start, within, rank, distinct):
@@ -175,18 +223,58 @@ def _run_plans(rows, plans, budget, start, within, rank, distinct):
     first step of a plan picks from `start`, every later one from `within`.
     Returns (status, index of the plan that placed the pattern, its map as
     a tuple indexed by pattern vertex, nodes)."""
-    nodes = [0]
+    nodes = 0
     for index, (order, steps) in enumerate(plans):
-        image = [-1] * len(order)
-        ok = _place(rows, steps, image, 0, 0, start, within, rank, budget, nodes, distinct)
-        if ok:
+        status, image, nodes = _place(rows, steps, start, within, rank, budget, distinct, nodes)
+        if status == "found":
             mapping = [-1] * len(order)
             for p, v in zip(order, image):
                 mapping[p] = v
-            return "found", index, tuple(mapping), nodes[0]
-        if ok is None:
-            return "unknown", None, None, nodes[0]
-    return "absent", None, None, nodes[0]
+            return "found", index, tuple(mapping), nodes
+        if status == "unknown":
+            return "unknown", None, None, nodes
+    return "absent", None, None, nodes
+
+
+@lru_cache(maxsize=64)
+def _extension_plans(n, edges):
+    """Each anchored plan of the pattern Graph(n, edges) with its anchor a
+    taken off: the steps that place the pattern less a, each needing one
+    degree less per edge to a; per step, whether its vertex neighbours a;
+    and per step i, the steps before i that steps from i on join."""
+    out = []
+    for order, steps in _placement_plans(n, edges, True):
+        rest = tuple(
+            (tuple(j - 1 for j in earlier if j), need - (0 in earlier))
+            for earlier, need in steps[1:]
+        )
+        marked = tuple(0 in earlier for earlier, _ in steps[1:])
+        refs = tuple(
+            tuple(sorted({j for earlier, _ in rest[i:] for j in earlier if j < i}))
+            for i in range(len(rest))
+        )
+        out.append((rest, marked, refs))
+    return tuple(out)
+
+
+def _extension_masks(rows, pattern):
+    """The extension masks of the pattern over the graph with these rows:
+    for each anchor a (one per automorphism orbit of the pattern) and each
+    embedding phi of the pattern less a, the vertex mask phi(N(a)).  The
+    graph plus a new vertex joined to a mask N holds a copy of the pattern
+    through the new vertex exactly when N contains one of these masks."""
+    if pattern.n < 1:
+        raise InputError("pattern needs at least one vertex")
+    masks = set()
+    if pattern.n - 1 > len(rows):
+        return masks
+    full = (1 << len(rows)) - 1
+    for steps, marked, refs in _extension_plans(pattern.n, pattern.upper_edges()):
+        if not steps:
+            masks.add(0)  # the pattern is one vertex
+            continue
+        _place(rows, steps, full, full, None, math.inf, -1, visit=(masks, marked, refs))
+    return masks
 
 
 def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, within=None):

@@ -588,6 +588,52 @@ def perm_canonical_form(g, classes):
     return (g.n, best if best is not None else 0)
 
 
+def recursive_place(rows, steps, image, i, used, start, within, rank, budget, nodes, distinct):
+    """The recursive placement search that subgraph._place replaced: place
+    steps i, i+1, ... of a plan by backtracking; nodes[0] counts candidate
+    placements.  True once placed, False when exhausted, None when the
+    budget runs out.  Placed vertices join `used` through the `distinct`
+    mask.  Candidates come in index order, or by rank[v] when rank is
+    given."""
+    earlier, need = steps[i]
+    allowed = start if i == 0 else within & ~used
+    for j in earlier:
+        allowed &= rows[image[j]]
+    candidates = bits(allowed) if rank is None else sorted(bits(allowed), key=rank.__getitem__)
+    last = i + 1 == len(steps)
+    for v in candidates:
+        if (rows[v] & within).bit_count() < need:
+            continue
+        nodes[0] += 1
+        if nodes[0] > budget:
+            return None
+        image[i] = v
+        if last:
+            return True
+        sub = recursive_place(rows, steps, image, i + 1, used | (1 << v) & distinct,
+                              start, within, rank, budget, nodes, distinct)
+        if sub is not False:
+            return sub
+    return False
+
+
+def recursive_run_plans(rows, plans, budget, start, within, rank, distinct):
+    """subgraph._run_plans on recursive_place: (status, plan index, map
+    indexed by pattern vertex, nodes)."""
+    nodes = [0]
+    for index, (order, steps) in enumerate(plans):
+        image = [-1] * len(order)
+        ok = recursive_place(rows, steps, image, 0, 0, start, within, rank, budget, nodes, distinct)
+        if ok:
+            mapping = [-1] * len(order)
+            for p, v in zip(order, image):
+                mapping[p] = v
+            return "found", index, tuple(mapping), nodes[0]
+        if ok is None:
+            return "unknown", None, None, nodes[0]
+    return "absent", None, None, nodes[0]
+
+
 def unpruned_gfree_graph_reps(g_pattern, n, budget=None):
     """gfree_graph_reps without its skip rules: every base tries every
     neighbourhood of the new vertex with a forced containment search, and

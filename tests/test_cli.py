@@ -586,12 +586,15 @@ def test_pipeline_ckfree_summary_line(tmp_path, capsys):
     assert "branch=" in out and "size=" in out and "runtime_ms=" in out
 
 
-def _bipartite_circulant_1000(tmp_path):
+def _bipartite_circulant_1000(tmp_path, triangle=False):
     """The 100-regular bipartite circulant on 500 + 500 vertices, written
-    to a file: left i is adjacent to right i + j mod 500, j < 100."""
+    to a file: left i is adjacent to right i + j mod 500, j < 100.  With
+    triangle, a disjoint triangle on vertices 1000-1002 joins it."""
     edges = [(i, 500 + (i + j) % 500) for i in range(500) for j in range(100)]
+    if triangle:
+        edges += [(1000, 1001), (1000, 1002), (1001, 1002)]
     host = str(tmp_path / "circ1000.g")
-    write_graph(host, Graph(1000, edges))
+    write_graph(host, Graph(1003 if triangle else 1000, edges))
     return host
 
 
@@ -604,6 +607,18 @@ def test_pipeline_ckfree_odd_k_on_a_bipartite_host_exit_0(tmp_path):
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert " branch=whole_set size=1000 " in proc.stdout
+
+
+def test_pipeline_ckfree_odd_k_skips_each_bipartite_component_exit_0(tmp_path):
+    # the triangle makes the host not 2-colourable, but the circulant's
+    # component still is: no path is walked in it, for the cycle list or
+    # for the audits of the candidates
+    host = _bipartite_circulant_1000(tmp_path, triangle=True)
+    proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", "pipeline", "ckfree",
+                           "--in", host, "--k", "5", "--seed", "1"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert " branch=whole_set size=1003 " in proc.stdout
 
 
 def test_pipeline_ckfree_marks_a_density_from_a_truncated_list_partial(tmp_path):

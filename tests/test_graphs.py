@@ -37,7 +37,7 @@ from erdos_rogers.graphs import (
     triangle_witness,
     wagner_graph,
 )
-from erdos_rogers.pipelines import _with_new_vertex
+from erdos_rogers.pipelines import _child_rows
 from oracles import (
     all_roots_short_cycle,
     bipartite_gnp,
@@ -494,7 +494,7 @@ def test_edges_and_triangle_witness_match_pair_scans(g, mask):
 )
 def test_oracle_child_matches_edge_list_child(base):
     for nbhd in range(1 << base.n):
-        child = _with_new_vertex(base.rows(), nbhd)
+        child = Graph.from_rows(_child_rows(base.rows(), nbhd))
         expected = Graph(base.n + 1, base.edges() + [(u, base.n) for u in bits(nbhd)])
         assert child == expected and hash(child) == hash(expected)
         assert child.m == expected.m and child.rows() == expected.rows()

@@ -640,21 +640,37 @@ def test_triangle_free_rep_counts(n, count):
 @pytest.mark.parametrize(
     "pattern",
     [named_graph("k2"), named_graph("p3"), named_graph("k3"), named_graph("c4"),
-     named_graph("c5"), complete_bipartite(1, 3), Graph(3, [(0, 1)])],
-    ids=["k2", "p3", "k3", "c4", "c5", "k13", "k2+k1"],
+     named_graph("c5"), complete_bipartite(1, 3), Graph(3, [(0, 1)]),
+     Graph(4, [(0, 1), (2, 3)]), named_graph("k4")],
+    ids=["k2", "p3", "k3", "c4", "c5", "k13", "k2+k1", "2k2", "k4"],
 )
 def test_gfree_graph_reps_skips_change_nothing(pattern):
-    # the skipped neighbourhoods, whether _known_answer or the relabel filter
-    # decides them, still count against the budget, and the first g-free
-    # child per key is still the one kept
+    # the neighbourhoods the extension masks find, the twin swaps and the
+    # relabel filter skip still count against the budget, and the first
+    # g-free child per key is still the one kept
     cases = [(n, budget) for n in range(1, 8) for budget in (1, 7, 50, 300, 2000, None)]
     if pattern in (named_graph("k3"), named_graph("c4")):
         cases.append((8, None))
+    # budgets that end exactly at the end of a level, or of its first base
+    _, _, counts = unpruned_gfree_graph_reps(pattern, 6)
+    level_end = 0
+    for size in range(1, 6):
+        level_end += counts[size - 1] << size
+        cases += [(6, level_end), (6, level_end + (2 << size))]
     for n, budget in cases:
         reps, exact, counts = gfree_graph_reps(pattern, n, budget=budget)
         ref_reps, ref_exact, ref_counts = unpruned_gfree_graph_reps(pattern, n, budget=budget)
         assert [h.edges() for h in reps] == [h.edges() for h in ref_reps], (n, budget)
         assert (exact, counts) == (ref_exact, ref_counts), (n, budget)
+
+
+def test_k4_free_level_counts():
+    # the K4-free graphs on 1..8 vertices (up to 7 vertices the k4 case of
+    # test_gfree_graph_reps_skips_change_nothing matches the unpruned
+    # enumeration graph by graph)
+    reps, exact, counts = gfree_graph_reps(named_graph("k4"), 8)
+    assert exact and counts == [1, 2, 4, 10, 29, 120, 685, 6431]
+    assert unpruned_gfree_graph_reps(named_graph("k4"), 7)[2] == counts[:7]
 
 
 def test_relabel_filter_bounds_the_canonical_forms(monkeypatch):

@@ -9,7 +9,10 @@ search finishes, it must return that search's set in no more nodes; under
 a budget, a set at least as large, and an upper bound on the optimum.  A
 forced search keeps one anchor per automorphism orbit of the pattern.  The
 pinned sets fix the output of `search max-ffree` on three 18-vertex hosts
-to the values of the induced-subgraph search this core replaced.
+to the values of the induced-subgraph search this core replaced.  The one
+placement loop must give the status, map and node count of the recursive
+search it replaced (oracles.recursive_run_plans), and the exact oracle's
+found neighbourhoods must be the ones a forced search of each child finds.
 """
 
 import random
@@ -27,8 +30,16 @@ from erdos_rogers import (
     named_graph,
 )
 from erdos_rogers.graphs import bits, induced_subgraph
+from erdos_rogers.pipelines import _found_neighbourhoods
 from erdos_rogers.search import DEFAULT_SET_BUDGET
-from erdos_rogers.subgraph import _placement_plans
+from erdos_rogers.subgraph import (
+    DEFAULT_BUDGET,
+    _extension_masks,
+    _pattern_order,
+    _placement_plans,
+    _plan,
+    _run_plans,
+)
 from oracles import (
     brute_max_ffree,
     brute_mis,
@@ -36,9 +47,13 @@ from oracles import (
     max_copy_free_size,
     per_step_max_f_free_subset,
     perm_contains,
+    recursive_run_plans,
+    unpruned_gfree_graph_reps,
 )
 
 PATTERNS = ["k2", "p3", "k3", "c4", "c5"]
+# two disjoint edges, and an edge plus an isolated vertex
+TWO_K2, K2_K1 = Graph(4, [(0, 1), (2, 3)]), Graph(3, [(0, 1)])
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -204,3 +219,93 @@ def test_max_ffree_sets_pinned(seed, name, nodes, members):
     assert res.status == "optimal"
     assert sorted(res.vertex_set.members()) == members
     assert res.nodes == nodes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(masked_hosts(), st.sampled_from(PATTERNS + ["k4", "2k2"]),
+       st.sampled_from([1, 2, 3, 4, 5, DEFAULT_BUDGET]), st.data())
+def test_placement_loop_matches_the_recursive_search(host_mask, name, budget, data):
+    # the one placement loop gives the (status, plan, map, nodes) of the
+    # recursive search it replaced: whole-host in rank order, masked,
+    # forced (ranked and masked) and homomorphism runs, whatever the budget
+    host, mask = host_mask
+    pattern = TWO_K2 if name == "2k2" else named_graph(name)
+    rows, full = host.rows(), host.full_mask()
+    rank = [row.bit_count() * host.n + v for v, row in enumerate(rows)]
+    unforced = _placement_plans(pattern.n, pattern.upper_edges(), False)
+    anchored = _placement_plans(pattern.n, pattern.upper_edges(), True)
+    runs = [(unforced, full, full, rank, -1), (unforced, mask, mask, None, -1)]
+    forced = data.draw(st.sampled_from(range(host.n)))
+    runs.append((anchored, 1 << forced, full, rank, -1))
+    if (mask >> forced) & 1:
+        runs.append((anchored, 1 << forced, mask, None, -1))
+    hom = _plan(pattern, _pattern_order(pattern), injective=False)
+    runs.append(((hom,), full, full, None, 0))
+    for plans, start, within, order, distinct in runs:
+        args = (rows, plans, budget, start, within, order, distinct)
+        assert _run_plans(*args) == recursive_run_plans(*args)
+
+
+@st.composite
+def gfree_bases(draw, pattern):
+    """A pattern-free graph on at most 7 vertices: drawn pairs in drawn
+    order, each added unless it closes a copy of the pattern."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = []
+    for pair in draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]:
+        if not contains_subgraph(Graph(n, edges + [pair]), pattern).found:
+            edges.append(pair)
+    return Graph(n, edges)
+
+
+MASK_PATTERNS = {name: named_graph(name) for name in ("k3", "c4", "c5", "p3", "k4")}
+MASK_PATTERNS.update({"2k2": TWO_K2, "k2+k1": K2_K1})
+# a star's leaves and an edgeless pattern's vertices are interchangeable;
+# on a path and a chair, partial placements that use the same vertices
+# differ in the vertices later steps join
+MASK_PATTERNS.update({
+    "k13": Graph(4, [(0, 1), (0, 2), (0, 3)]),
+    "3k1": Graph(3, []),
+    "p5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "chair": Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)]),
+})
+
+
+def check_found_neighbourhoods(base, pattern):
+    """Bit N of the found family is set exactly when the child with new
+    vertex v = base.n joined to N holds a copy of the pattern through v."""
+    size = base.n
+    found = _found_neighbourhoods(base.rows(), pattern)
+    assert found >> (1 << size) == 0
+    for nbhd in range(1 << size):
+        child = Graph(size + 1, base.edges() + [(u, size) for u in bits(nbhd)])
+        expect = contains_subgraph(child, pattern, forced_vertex=size).found
+        assert bool(found >> nbhd & 1) == expect, (base.edges(), nbhd)
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(MASK_PATTERNS)), st.data())
+def test_found_neighbourhoods_match_forced_containment(name, data):
+    # a base decides all its children at once
+    pattern = MASK_PATTERNS[name]
+    check_found_neighbourhoods(data.draw(gfree_bases(pattern)), pattern)
+
+
+@pytest.mark.parametrize("name", sorted(MASK_PATTERNS))
+def test_found_neighbourhoods_on_every_small_base(name):
+    # every pattern-free graph on at most 6 vertices, up to isomorphism
+    pattern = MASK_PATTERNS[name]
+    for n in range(1, 7):
+        for base in unpruned_gfree_graph_reps(pattern, n)[0]:
+            check_found_neighbourhoods(base, pattern)
+
+
+def test_an_isolated_anchor_has_the_empty_mask():
+    # K2 + K1 through an isolated new vertex needs only an edge of the
+    # base, so every neighbourhood is found, the empty one too
+    edge = Graph(2, [(0, 1)])
+    assert 0 in _extension_masks(edge.rows(), K2_K1)
+    assert _found_neighbourhoods(edge.rows(), K2_K1) == 0b1111
+    assert _extension_masks(edge.rows(), named_graph("k3")) == {0b11}
+    assert _extension_masks(edge.rows(), named_graph("c4")) == set()
