@@ -10,7 +10,6 @@ byte of the output.
 """
 
 import math
-from itertools import combinations, islice
 from types import SimpleNamespace
 
 from .blowup import (
@@ -70,14 +69,21 @@ def _require_absent(host, pattern, what):
         raise InputError(f"could not certify absence of {what} within budget")
 
 
+# candidate placements one k-cycle audit may walk before it gives up
+K_CYCLE_AUDIT_BUDGET = 2_000_000
+
+
 def _has_k_cycle(g, mask, k):
-    """Does the subgraph induced on mask contain a k-cycle?  The audit runs
-    without a node budget: it must decide, whatever the input size.  An
-    odd k searches only the components whose part in mask is not
-    2-colourable."""
+    """Does the subgraph induced on mask contain a k-cycle?  An odd k
+    searches only the components whose part in mask is not 2-colourable.
+    An audit that walks K_CYCLE_AUDIT_BUDGET placements undecided is never
+    a pass: it raises the InputError of an uncertified absence."""
     if k % 2:
         mask = _odd_cycle_part(g, mask)
-    return contains_subgraph(g, cycle_graph(k), budget=math.inf, within=mask).found
+    res = contains_subgraph(g, cycle_graph(k), budget=K_CYCLE_AUDIT_BUDGET, within=mask)
+    if res.status == "unknown":
+        raise InputError(f"could not certify absence of C{k} within budget")
+    return res.found
 
 
 def _measure_ffree(host, pattern, budget):
@@ -377,6 +383,33 @@ def clone_graph(g, v, w):
 # high-girth random hypergraphs
 # ---------------------------------------------------------------------------
 
+# the most r-subsets a girth sample draws for, one random() draw each
+MAX_SAMPLE_DRAWS = 2**28
+
+
+def _unrank_subset(index, t, r):
+    """The subset at position index of combinations(range(t), r).  The
+    complements t-1-x of its members, least member first, are the digits
+    of C(t, r) - 1 - index in the combinatorial number system; each digit
+    is found by bisection with math.comb."""
+    rest = math.comb(t, r) - 1 - index
+    members = []
+    top = t  # each digit lies below the one before
+    for k in range(r, 0, -1):
+        # the largest d < top with C(d, k) <= rest; C(k - 1, k) = 0
+        lo, hi = k - 1, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, k) <= rest:
+                lo = mid
+            else:
+                hi = mid
+        members.append(t - 1 - lo)
+        rest -= math.comb(lo, k)
+        top = lo
+    return tuple(members)
+
+
 def random_girth_hypergraph(t, r, rng):
     """Binomial r-uniform hypergraph at p = t^(1-r+1/(2r)), then for each
     length 2..r+1 a greedy maximal edge-disjoint family of loose cycles of
@@ -387,10 +420,11 @@ def random_girth_hypergraph(t, r, rng):
     The sample takes one random() draw of the "edges" substream per
     r-subset, in `combinations(range(t), r)` order, and keeps the subset
     when the draw falls below p; `bernoulli_indices` finds those draws and
-    the kept indices are unranked in the same order.  An expected edge
-    count C(t, r) p below 1 is refused before any draw: the sample would
-    be empty or nearly so, and an edgeless h* passes every audit.  A t
-    above MAX_FILE_VERTICES is refused next, before the sample allocates
+    `_unrank_subset` turns each kept index into its subset directly.  An
+    expected edge count C(t, r) p below 1 is refused before any draw: the
+    sample would be empty or nearly so, and an edgeless h* passes every
+    audit.  A t above MAX_FILE_VERTICES is refused next, then a draw count
+    C(t, r) above MAX_SAMPLE_DRAWS, before the sample allocates or draws
     anything."""
     if r < 2:
         raise InputError("uniformity r >= 2 required")
@@ -399,8 +433,9 @@ def random_girth_hypergraph(t, r, rng):
     p = float(t) ** (1.0 - r + 1.0 / (2.0 * r))
     if p > 1.0:
         raise InputError("edge probability exceeds 1", witness={"p": p})
+    draws = math.comb(t, r)
     # in logs: C(t, r) can pass the float range while p is still above 0
-    log_expected = math.log(math.comb(t, r)) + math.log(p) if p > 0.0 else -math.inf
+    log_expected = math.log(draws) + math.log(p) if p > 0.0 else -math.inf
     if log_expected < 0.0:
         expected = math.exp(log_expected)
         raise InputError(
@@ -412,15 +447,14 @@ def random_girth_hypergraph(t, r, rng):
             f"vertex count t exceeds {MAX_FILE_VERTICES}",
             witness={"t": t, "max_vertices": MAX_FILE_VERTICES},
         )
+    if draws > MAX_SAMPLE_DRAWS:
+        raise InputError(
+            f"draw count C(t, r) = {draws} exceeds {MAX_SAMPLE_DRAWS}",
+            witness={"t": t, "r": r, "draws": draws, "max_draws": MAX_SAMPLE_DRAWS},
+        )
 
-    stream = rng.substream("edges")
-    subsets = combinations(range(t), r)
-    edges = []
-    prev = -1
-    for i in stream.bernoulli_indices(math.comb(t, r), p):
-        edges.append(next(islice(subsets, i - prev - 1, None)))
-        prev = i
-    h0 = Hypergraph(t, edges, r=r)
+    kept = rng.substream("edges").bernoulli_indices(draws, p)
+    h0 = Hypergraph(t, [_unrank_subset(i, t, r) for i in kept], r=r)
 
     by_length = {length: [] for length in range(2, r + 2)}
     for cyc in find_loose_cycles(h0, r + 1):

@@ -7,16 +7,27 @@ depends only on (seed, label, counter) and is identical on every platform.
 Substreams are derived by extending the label, never by drawing from the
 parent, so sibling substreams are independent of consumption order; each
 is keyed from a copy of one kept state, fed only its own sub-label.
+
+Since every block depends only on (key, index), `bernoulli_indices` makes
+the whole blocks of a long run in chunks of up to 256, each chunk with a
+few C-level passes (copy the keyed state, feed each copy its index, join
+the digests), and gives the same words as one block at a time.
 """
 
 import hashlib
 import math
 import struct
+from collections import deque
+from itertools import compress, repeat, starmap
 
 _MASK64 = (1 << 64) - 1
 _FLOAT_SCALE = 2.0 ** -53
 _BLOCK_WORDS = struct.Struct("<8Q")
 _BLOCK_INDEX = struct.Struct("<Q")
+# blocks per chunk of bernoulli_indices: 256 keyed states and 16 KiB of words
+_CHUNK_BLOCKS = 256
+_update = hashlib.blake2b.update
+_digest = hashlib.blake2b.digest
 
 
 def _label_state(seed, label):
@@ -89,12 +100,18 @@ class SeededRng:
         """The indices i < count at which the next `count` random() draws
         fall below p, consuming exactly the words those draws would: the
         rest of the current buffer one word at a time, then every whole
-        block in one loop, then the tail one word at a time.
+        block, then the tail one word at a time.
+
+        The whole blocks are made in chunks of at most _CHUNK_BLOCKS: the
+        keyed state is copied once per block, each copy is fed its index,
+        and the digests are joined into one string of words, each pass a
+        C-level map.  The blocks are those `_next_block` makes, and the
+        buffer is left empty.
 
         random() < p iff (w >> 11) < ceil(p * 2^53), i.e. w < limit with
         limit = ceil(p * 2^53) << 11.  When limit <= 2^56 a passing word
-        has a zero top byte, so a 64-byte block whose bytes 7, 15, .., 63
-        are all nonzero holds no hit and is skipped undecoded."""
+        has a zero top byte, so only the words whose top byte (raw[7::8])
+        is zero are decoded; otherwise the chunk is decoded at once."""
         limit = math.ceil(p * 2.0**53) << 11
         hits = []
         i = 0
@@ -102,21 +119,28 @@ class SeededRng:
             if self.u64() < limit:
                 hits.append(i)
             i += 1
-        blocks = (count - i) // 8
-        if blocks:
-            # each block as `_next_block` makes it, the buffer left empty
+        end = self._block + (count - i) // 8
+        if end > self._block:
             sparse = limit <= 1 << 56
             copy = self._keyed.copy
-            pack = _BLOCK_INDEX.pack
-            unpack = _BLOCK_WORDS.unpack
-            for index in range(self._block, self._block + blocks):
-                h = copy()
-                h.update(pack(index))
-                raw = h.digest()
-                if not sparse or 0 in raw[7::8]:
-                    hits.extend(i + j for j, w in enumerate(unpack(raw)) if w < limit)
-                i += 8
-            self._block += blocks
+            unpack_word = _BLOCK_INDEX.unpack_from
+            for a in range(self._block, end, _CHUNK_BLOCKS):
+                b = min(a + _CHUNK_BLOCKS, end)
+                hs = list(starmap(copy, repeat((), b - a)))
+                deque(map(_update, hs, map(_BLOCK_INDEX.pack, range(a, b))), 0)
+                raw = b"".join(map(_digest, hs))
+                if sparse:
+                    tops = raw[7::8]
+                    w = tops.find(0)
+                    while w >= 0:
+                        if unpack_word(raw, 8 * w)[0] < limit:
+                            hits.append(i + w)
+                        w = tops.find(0, w + 1)
+                else:
+                    words = struct.unpack(f"<{8 * (b - a)}Q", raw)
+                    hits.extend(compress(range(i, i + len(words)), map(limit.__gt__, words)))
+                i += 8 * (b - a)
+            self._block = end
         while i < count:
             if self.u64() < limit:
                 hits.append(i)

@@ -718,3 +718,16 @@ def bipartite_gnp(a, b, p, rng):
     u = gen.random((a, b))
     edges = [(i, a + j) for i in range(a) for j in range(b) if u[i, j] < p]
     return Graph(a + b, edges)
+
+
+def islice_subsets(indices, t, r):
+    """The subsets at the increasing positions indices of
+    combinations(range(t), r), by walking the one iterator forward from
+    each kept subset to the next."""
+    subsets = itertools.combinations(range(t), r)
+    out = []
+    prev = -1
+    for i in indices:
+        out.append(next(itertools.islice(subsets, i - prev - 1, None)))
+        prev = i
+    return out

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -650,6 +651,25 @@ def test_girth_sample_past_the_file_limit_exit_3(tmp_path, command):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["witness"] == {"t": 10**12, "max_vertices": 10**7}
+    assert not out_path.exists()
+
+
+GIRTH_SAMPLE_PAST_THE_DRAW_CAP = [
+    (["construct", "girth-hypergraph", "--t", "100000", "--r", "2", "--seed", "1"], 2),
+    (["construct", "theorem4-part2", "--g", "c4", "--t", "100000", "--seed", "1"], 3),
+]
+
+
+@pytest.mark.parametrize("command,r", GIRTH_SAMPLE_PAST_THE_DRAW_CAP, ids=["girth-hypergraph", "theorem4-part2"])
+def test_girth_sample_past_the_draw_cap_exit_3(tmp_path, command, r):
+    # the C(t, r) draws, 5*10^9 and 1.7*10^14 here, are refused before the first
+    out_path = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "erdos_rogers.cli", *command, "--out", str(out_path)],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    draws = math.comb(100_000, r)
+    assert json.loads(proc.stderr)["witness"] == {"t": 100_000, "r": r, "draws": draws, "max_draws": 2**28}
     assert not out_path.exists()
 
 

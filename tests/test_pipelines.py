@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -38,12 +39,13 @@ from erdos_rogers import (
 from erdos_rogers.graphs import Graph, induced_subgraph, triangle_witness
 from erdos_rogers.hypergraphs import hypergraph_girth_at_least
 from erdos_rogers import pipelines
-from erdos_rogers.pipelines import canonical_form, sunflower_budget
+from erdos_rogers.pipelines import _unrank_subset, canonical_form, sunflower_budget
 from erdos_rogers.subgraph import contains_subgraph
 from oracles import (
     complete_multipartite,
     full_search_brute_force_f,
     gnp_graph,
+    islice_subsets,
     perm_contains,
     unpruned_gfree_graph_reps,
 )
@@ -340,6 +342,19 @@ def test_ckfree_bytes_pinned(case):
     assert hashlib.sha256(cert.to_json_bytes()).hexdigest() == cert_sha
 
 
+def test_k_cycle_audit_past_its_budget_is_refused_not_passed(monkeypatch):
+    # the whole Petersen graph is C4-free; certifying that walks 100
+    # placements, so a budget of 50 leaves the audit undecided
+    g = petersen_graph()
+    assert contains_subgraph(g, cycle_graph(4), budget=math.inf).nodes == 100
+    monkeypatch.setattr(pipelines, "K_CYCLE_AUDIT_BUDGET", 50)
+    with pytest.raises(InputError, match="could not certify absence of C4 within budget"):
+        ckfree_subset(g, 4, SeededRng(0, "ck"))
+    monkeypatch.setattr(pipelines, "K_CYCLE_AUDIT_BUDGET", 100)
+    vs, cert = ckfree_subset(g, 4, SeededRng(0, "ck"))
+    assert (cert.measurements["branch"], len(vs)) == ("whole_set", 10)
+
+
 # ---------------------------------------------------------------------------
 # ksfree recursion
 # ---------------------------------------------------------------------------
@@ -463,6 +478,22 @@ def test_girth_hypergraph_deterministic():
     a, _ = random_girth_hypergraph(30, 3, SeededRng(7, "gh"))
     b, _ = random_girth_hypergraph(30, 3, SeededRng(7, "gh"))
     assert a.edges == b.edges
+
+
+def test_unrank_subset_is_combinations_order():
+    for t in range(13):
+        for r in range(t + 1):
+            subsets = list(itertools.combinations(range(t), r))
+            assert [_unrank_subset(i, t, r) for i in range(len(subsets))] == subsets
+
+
+@pytest.mark.parametrize("t,r,seed", [(40, 3, 0), (200, 3, 1), (80, 4, 1), (30, 2, 3), (12, 3, 2)])
+def test_unrank_subset_matches_the_islice_walk_on_kept_indices(t, r, seed):
+    # the indices random_girth_hypergraph keeps, at its own p
+    p = float(t) ** (1.0 - r + 1.0 / (2.0 * r))
+    kept = SeededRng(seed, "gh").substream("edges").bernoulli_indices(math.comb(t, r), p)
+    assert kept
+    assert [_unrank_subset(i, t, r) for i in kept] == islice_subsets(kept, t, r)
 
 
 def test_sunflower_budget_values():

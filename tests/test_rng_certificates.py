@@ -83,9 +83,13 @@ def test_random_unit_interval():
 BERNOULLI_PS = [0.0, 2.0**-50, math.nextafter(2.0**-8, 0.0), math.nextafter(2.0**-8, 1.0), 0.3, 1.0]
 
 
-# skip 7 leaves one word of the block in the buffer, skip 8 none
+# skip 7 leaves one word of the block in the buffer, skip 8 none; whole
+# blocks are made in chunks of 256 (2048 words), so 2048 k + {0, 1, 7, 8,
+# 13} words end on, just past and well past a chunk edge; the first 2^16
+# words of the stream hold two neighbours whose top bytes are both zero
 @pytest.mark.parametrize("p", BERNOULLI_PS)
-@pytest.mark.parametrize("count", [0, 5, 8, 13, 61, 1003, 20_001])
+@pytest.mark.parametrize("count", [0, 5, 8, 13, 61, 1003, 20_001, 2**16]
+                         + [2048 * k + extra for k in (1, 2) for extra in (0, 1, 7, 8, 13)])
 @pytest.mark.parametrize("skip", [0, 3, 7, 8])
 def test_bernoulli_indices_matches_random_draws(p, count, skip):
     a = SeededRng(17, "bernoulli")
@@ -97,7 +101,8 @@ def test_bernoulli_indices_matches_random_draws(p, count, skip):
 
 
 @pytest.mark.parametrize("p", BERNOULLI_PS)
-@pytest.mark.parametrize("first,second", [(3, 5), (5, 13), (13, 61), (16, 1003), (1003, 20_001)])
+@pytest.mark.parametrize("first,second", [(3, 5), (5, 13), (13, 61), (16, 1003), (1003, 20_001),
+                                          (2048 + 13, 2048), (5, 4096 + 7), (4096 + 1, 2048 + 8)])
 def test_bernoulli_indices_back_to_back(p, first, second):
     a = SeededRng(17, "bernoulli")
     b = SeededRng(17, "bernoulli")
