@@ -50,18 +50,20 @@ from .subgraph import contains_subgraph
 
 # Search nodes per millisecond of each engine, the rate at which --budget-ms
 # becomes a node budget, measured on a 2-vCPU x86-64 VM with Python 3.11.
-# max_f_free_subset: nodes per ms of wall time of an in-process, untraced
-# loop over the max-ffree jobs of bench/workloads.py ffree_search(1)
-# (12,052 nodes per pass; the median of five 15-pass runs that read
-# 101-131).  The other two are read by `python3 bench/run.py --trace 1
-# --seed 1`: max_independent_set nodes per ms of self time on girth-clones
-# (67 nodes in 0.88 ms, the only workload that calls it); contains_subgraph
-# nodes per ms of self time on ffree-search (1,089,102 nodes in 2.19 s; a
-# second run read 379, exact-oracle 238).
+# The first two are read untraced and in-process, each the median of 15
+# reads (three runs of five).  max_f_free_subset: nodes per ms of wall time
+# of a loop over the max-ffree jobs of bench/workloads.py ffree_search(1)
+# (12,052 nodes per pass, 15 passes per read; the reads spread 134-194).
+# contains_subgraph: nodes per ms of whole-host K4 scans, each absent, of
+# the two K4-free hosts random_k4_free_graph(120, 480) of ffree_search(1)
+# (3,158 nodes per pass, 100 passes per read; 493-718).
+# max_independent_set: nodes per ms of self time on girth-clones in
+# `python3 bench/run.py --trace 1 --seed 1` (67 nodes in 0.88 ms; no other
+# workload calls it).
 NODES_PER_MS = {
-    "max_f_free_subset": 106,
+    "max_f_free_subset": 182,
     "max_independent_set": 76,
-    "contains_subgraph": 497,
+    "contains_subgraph": 667,
 }
 
 _NAMED_HINT = "a named pattern (k2..k6, p3, p4, c4..c7, k22, k33, petersen, wagner) or a graph file"

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import InputError, SelfCheckError
 from .graphs import VertexSet, _odd_cycle_part, as_mask, bits
-from .subgraph import contains_subgraph
+from .subgraph import DEFAULT_BUDGET, _placement_plans, _run_plans, _verify_embedding, contains_subgraph
 
 
 def greedy_independent_set(g):
@@ -144,20 +144,31 @@ def _mis_branch(rows, alive, best, budget):
         cur_size += 1
 
 
-def _copy_mask(host, sub_mask, pattern, new_vertex=None):
-    """The vertex mask of a pattern copy inside the subgraph induced on
-    sub_mask, or 0 when there is none.  With new_vertex set, only copies
-    through that vertex count (valid for incremental growth of an already
-    pattern-free set).  The copy comes from contains_subgraph, which
-    verifies its embedding; an undecided search is a SelfCheckError."""
-    res = contains_subgraph(host, pattern, forced_vertex=new_vertex, within=sub_mask)
-    if res.status == "unknown":
-        raise SelfCheckError("pattern check exceeded its budget on a desk-size input")
-    copy = 0
-    if res.found:
-        for v in res.embedding:
-            copy |= 1 << v
-    return copy
+def _forced_step(g, pattern):
+    """The per-step query of the F-free search, set up once per search:
+    step(grown, i) is the vertex mask of a copy of the pattern through i
+    inside the subgraph induced on grown (a mask holding i), or 0 when
+    there is none.  It runs the placement loop of contains_subgraph on the
+    host's rows and the pattern's anchored plans, so it finds the copy
+    contains_subgraph(g, pattern, forced_vertex=i, within=grown) finds, and
+    checks it with the same verifier; an undecided search is a
+    SelfCheckError."""
+    rows = g.rows()
+    edges = pattern.upper_edges()
+    plans = _placement_plans(pattern.n, edges, True)
+    size = pattern.n
+
+    def step(grown, i):
+        if grown.bit_count() < size:
+            return 0
+        status, _, mapping, _ = _run_plans(rows, plans, DEFAULT_BUDGET, 1 << i, grown, None, -1)
+        if status == "absent":
+            return 0
+        if status == "unknown":
+            raise SelfCheckError("pattern check exceeded its budget on a desk-size input")
+        return _verify_embedding(rows, edges, mapping, grown, i)
+
+    return step
 
 
 def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET, at_least=None):
@@ -170,11 +181,12 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET, at_least=None):
     vertex i when it closes no copy through i.  Whether it does is answered
     first from what earlier searches at i proved: a grown set holding a
     copy kept in copies[i] closes one, and a grown set inside free[i], the
-    last set i was found free in, closes none.  Only the other steps call
-    contains_subgraph, forced through i, and record its answer.  A node is
+    last set i was found free in, closes none.  Only the other steps run a
+    forced search through i, on the containment core's placement loop set
+    up once per search (_forced_step), and record its answer.  A node is
     pruned when a packing of the copies found so far shows that no set
-    below it beats the incumbent.  The returned set is re-checked whole
-    before it is returned.
+    below it beats the incumbent.  The returned set is re-checked whole by
+    contains_subgraph before it is returned.
 
     With at_least = k, the search decides only whether a pattern-free set
     of k vertices exists.  It skips the greedy seed, starts from an
@@ -185,21 +197,25 @@ def max_f_free_subset(g, pattern, budget=DEFAULT_SET_BUDGET, at_least=None):
     if pattern.n < 1 or pattern.m < 1:
         raise InputError("pattern needs at least one edge")
     n = g.n
+    step = _forced_step(g, pattern)
     if at_least is None:
         # greedy seed in ascending-degree order
         seed_mask = 0
         for v in sorted(range(n), key=lambda v: (g.degree(v), v)):
-            if not _copy_mask(g, seed_mask | (1 << v), pattern, new_vertex=v):
+            if not step(seed_mask | (1 << v), v):
                 seed_mask |= 1 << v
         best = [seed_mask.bit_count(), seed_mask, 0]
         goal = n + 1
     else:
         best = [at_least - 1, 0, 0]
         goal = at_least
-    upper = _ffree_branch(g, pattern, best, budget, goal)
+    upper = _ffree_branch(n, step, best, budget, goal)
     if upper is None and best[1].bit_count() < best[0]:
         upper = best[0]  # ended below the given incumbent: no set of at_least
-    if _copy_mask(g, best[1], pattern):
+    check = contains_subgraph(g, pattern, within=best[1])
+    if check.status == "unknown":
+        raise SelfCheckError("pattern check exceeded its budget on a desk-size input")
+    if check.found:
         raise SelfCheckError("returned set contains a pattern copy")
     return _set_result(best, upper)
 
@@ -224,8 +240,8 @@ def _packing_bound(found, n, i, cur_mask, cur_size, floor):
     return room
 
 
-def _ffree_branch(g, pattern, best, budget, goal):
-    """Decide vertices 0, 1, ... of g, each taken when it closes no pattern
+def _ffree_branch(n, step, best, budget, goal):
+    """Decide vertices 0, 1, ..., n - 1, each taken when it closes no pattern
     copy and then left out; best = [size, mask, nodes] is updated in place.
     The leave-out branches wait on an explicit stack, so the depth is not
     bounded by the interpreter's recursion limit.  None when the search
@@ -237,10 +253,10 @@ def _ffree_branch(g, pattern, best, budget, goal):
     earlier steps at i when they decide it: copies[i] keeps the vertex
     masks of the copies found through i (a grown set holding one holds a
     copy), and free[i] the last grown set found to have none (a grown set
-    inside it has none).  Otherwise a forced containment call decides, and
-    its answer is recorded.  found keeps every copy in the order found, for
-    the packing bound that prunes a node before it is counted."""
-    n = g.n
+    inside it has none).  Otherwise step(grown, i), the search's forced
+    query, decides, and its answer is recorded.  found keeps every copy in
+    the order found, for the packing bound that prunes a node before it is
+    counted."""
     copies = [[] for _ in range(n)]
     free = [0] * n
     found = []
@@ -267,7 +283,7 @@ def _ffree_branch(g, pattern, best, budget, goal):
                 if copy & grown == copy:
                     break
             else:
-                copy = _copy_mask(g, grown, pattern, new_vertex=i)
+                copy = step(grown, i)
                 if copy:
                     copies[i].append(copy)
                     found.append(copy)
@@ -298,9 +314,10 @@ def list_k_cycles(g, k, through=None, cap=None):
 
     With through=v0, cycles containing v0 (tuples start at v0); otherwise
     all cycles, each rooted at its minimum vertex.  With cap set, stops
-    after cap cycles and reports truncation.  A connected component that
-    is 2-colourable holds no cycle of odd length, so an odd k walks no path
-    from a root in one.
+    after cap cycles and reports truncation.  The paths from each root are
+    walked in one loop over per-depth int masks (_cycles_from).  A
+    connected component that is 2-colourable holds no cycle of odd length,
+    so an odd k walks no path from a root in one.
     Returns (cycles, truncated)."""
     _check_cycle_args(k)
     rows = g.rows()
@@ -312,29 +329,50 @@ def list_k_cycles(g, k, through=None, cap=None):
             continue
         # the vertices a cycle through root may use after it
         allowed = ~(1 << root) if through is not None else -2 << root
-        for s in bits(rows[root] & allowed):
-            if _extend_path(rows, k, root, allowed & ~(1 << s), [s], out, cap):
-                return out, True
+        if _cycles_from(rows, k, root, allowed, out, cap):
+            return out, True
     return out, False
 
 
-def _extend_path(rows, k, root, allowed, path, out, cap):
-    """Extend the path root, *path through allowed to k-cycles appended to
-    out, closed by the common neighbours of its end and root above path[0]
-    (one orientation per cycle); True once out holds cap cycles."""
-    if len(path) == k - 2:
-        for w in bits(rows[path[-1]] & rows[root] & allowed & -(2 << path[0])):
-            out.append((root, *path, w))
-            if cap is not None and len(out) >= cap:
+def _cycles_from(rows, k, root, allowed, out, cap):
+    """Append to out the k-cycles root, p[0], ..., p[k-3], w on vertices of
+    allowed with p[0] < w (one orientation per cycle), in the order of a
+    depth-first walk of the paths from root; True once out holds cap
+    cycles.  The walk is one loop: cand[d] holds the untried candidates
+    for p[d] as an int mask, taken lowest bit first, and rest[d] the
+    allowed vertices that p[0..d-1] leave; a path of k - 2 vertices is
+    closed by the common neighbours of its end and root above p[0]."""
+    end = k - 3
+    path = [0] * (k - 2)
+    cand = [0] * (k - 2)
+    rest = [0] * (k - 2)
+    cand[0], rest[0] = rows[root] & allowed, allowed
+    limit = math.inf if cap is None else cap
+    d = 0
+    while True:
+        c = cand[d]
+        if not c:
+            if not d:
+                return False
+            d -= 1
+            continue
+        low = c & -c
+        cand[d] = c ^ low
+        v = path[d] = low.bit_length() - 1
+        left = rest[d] ^ low
+        if not d:
+            closers = rows[root] & -(2 << v)
+        if d < end:
+            d += 1
+            cand[d], rest[d] = rows[v] & left, left
+            continue
+        c = rows[v] & closers & left
+        while c:
+            low = c & -c
+            c ^= low
+            out.append((root, *path, low.bit_length() - 1))
+            if len(out) >= limit:
                 return True
-        return False
-    for w in bits(rows[path[-1]] & allowed):
-        path.append(w)
-        full = _extend_path(rows, k, root, allowed & ~(1 << w), path, out, cap)
-        path.pop()
-        if full:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ inside a host: an injective map sending pattern edges to host edges.  With
 within=mask only the host vertices in the mask may be used, so a copy inside
 an induced subgraph is found without building that subgraph; with
 forced_vertex=v only copies through v count.  This is the one containment
-core: F-free subset search, the C_k audits of the pipelines, every
-whole-host scan and the homomorphism test blowup.is_hom_free call it, and
-the exact oracle's augmentation runs its placement loop.  The F-free
-search first consults what its earlier forced searches at a vertex proved,
-the copies found through it and the last set it was free in, and calls the
-core only when they do not decide.  A placed host vertex is used up
-through the `distinct` mask: -1 for a copy, 0 for a homomorphism, whose
-map may repeat.
+core: the C_k audits of the pipelines and every whole-host scan call it,
+and F-free subset search, the homomorphism test blowup.is_hom_free and the
+exact oracle's augmentation run its placement loop.  The F-free search
+first consults what its earlier forced searches at a vertex proved, the
+copies found through it and the last set it was free in.  Only when they
+do not decide does it run a forced search, through _run_plans on the host
+rows and anchored plans it sets up once per search, and it checks each
+copy found with _verify_embedding, as contains_subgraph does; its final
+set is re-checked whole by contains_subgraph.  A placed host vertex is
+used up through the `distinct` mask: -1 for a copy, 0 for a homomorphism,
+whose map may repeat.
 
 The search is backtracking over bit rows.  A pattern vertex's candidates are
 the common neighbors of its already placed pattern neighbors, inside the
@@ -28,8 +31,11 @@ per pattern and kept in a small LRU cache keyed on its vertex count and
 edge tuple: a lookup then hashes and compares plain tuples, with no call
 back into Graph, and patterns built apart (every named_graph call builds a
 new one) share their plans.
-The backtracking is one loop that keeps an iterator over the candidates of
-each level.  A search stops at the first complete placement.  The exact
+The backtracking is one loop that keeps the untried candidates of each
+level as an int mask, taken lowest bit first, as in bit-parallel branch and
+bound (San Segundo et al., Comput. Oper. Res. 38, 2011); only a ranked
+whole-host scan keeps a sorted iterator per level.  A search stops at the
+first complete placement.  The exact
 oracle's extension masks visit every placement instead, on the forced plans
 with their anchor taken off: a new vertex joined to a neighbourhood N of
 the host closes a copy through it exactly when N contains the images of the
@@ -141,27 +147,34 @@ def _placement_plans(n, edges, anchored):
     return tuple(kept)
 
 
-def _verify_embedding(host, edges, mapping, within, forced_vertex):
-    if len(set(mapping)) != len(mapping):
+def _verify_embedding(rows, edges, mapping, within, forced_vertex):
+    """Check a found map against the host's bit rows: injective, every
+    pattern edge on a host edge, inside the `within` mask and, unless
+    forced_vertex is None, through it.  Returns the map's vertex mask."""
+    copy = 0
+    for v in mapping:
+        copy |= 1 << v
+    if copy.bit_count() != len(mapping):
         raise SelfCheckError("embedding is not injective")
     for u, v in edges:
-        if not host.has_edge(mapping[u], mapping[v]):
+        if not rows[mapping[u]] >> mapping[v] & 1:
             raise SelfCheckError("embedding does not preserve an edge")
-    if any(not (within >> v) & 1 for v in mapping):
+    if copy & ~within:
         raise SelfCheckError("embedding leaves the vertex mask")
-    if forced_vertex is not None and forced_vertex not in mapping:
+    if forced_vertex is not None and not copy >> forced_vertex & 1:
         raise SelfCheckError("embedding misses the forced vertex")
+    return copy
 
 
 def _place(rows, steps, start, within, rank, budget, distinct, nodes=0, visit=None):
     """Place the steps of a plan in turn by backtracking, in one loop that
-    keeps an iterator over each level's candidates: level 0 picks from
-    `start`, level i from `within`, minus the vertices used through the
-    `distinct` mask, inside the rows of the earlier steps it names.
-    Candidates come in index order, or by rank[v] when rank is given, and
-    one below the step's needed degree inside `within` is passed over.
-    Each placement counts one node on top of `nodes`; past `budget` the
-    search stops with "unknown".
+    keeps each level's untried candidates: level 0 picks from `start`,
+    level i from `within`, minus the vertices used through the `distinct`
+    mask, inside the rows of the earlier steps it names.  Candidates are
+    held as an int mask and taken lowest bit first, or, when rank is
+    given, as an iterator in rank[v] order; one below the step's needed
+    degree inside `within` is passed over.  Each placement counts one node
+    on top of `nodes`; past `budget` the search stops with "unknown".
 
     Without `visit`, the search stops at the first complete placement and
     returns ("found", the host vertex per step, nodes), or ("absent", None,
@@ -180,15 +193,29 @@ def _place(rows, steps, start, within, rank, budget, distinct, nodes=0, visit=No
         out, marked, refs = visit
         acc = [0] * len(steps)  # acc[i]: the marked vertices of the steps before i
         states = set()
-    level = [None] * len(steps)
-    level[0] = bits(start) if rank is None else iter(sorted(bits(start), key=rank.__getitem__))
+    cand = [0] * len(steps)  # cand[i]: the untried candidates of level i
+    cand[0] = start if rank is None else iter(sorted(bits(start), key=rank.__getitem__))
     i = 0
     while True:
         need = steps[i][1]
-        for v in level[i]:
-            if (rows[v] & within).bit_count() >= need:
-                break
+        if rank is None:
+            c = cand[i]
+            while c:
+                low = c & -c
+                c ^= low
+                v = low.bit_length() - 1
+                if (rows[v] & within).bit_count() >= need:
+                    break
+            else:
+                v = -1
+            cand[i] = c
         else:
+            for v in cand[i]:
+                if (rows[v] & within).bit_count() >= need:
+                    break
+            else:
+                v = -1
+        if v < 0:
             if not i:
                 return "absent", None, nodes
             i -= 1
@@ -215,7 +242,7 @@ def _place(rows, steps, start, within, rank, budget, distinct, nodes=0, visit=No
         allowed = within & ~used[i]
         for j in steps[i][0]:
             allowed &= rows[image[j]]
-        level[i] = bits(allowed) if rank is None else iter(sorted(bits(allowed), key=rank.__getitem__))
+        cand[i] = allowed if rank is None else iter(sorted(bits(allowed), key=rank.__getitem__))
 
 
 def _run_plans(rows, plans, budget, start, within, rank, distinct):
@@ -309,5 +336,5 @@ def contains_subgraph(host, pattern, budget=DEFAULT_BUDGET, forced_vertex=None, 
     status, _, mapping, nodes = _run_plans(rows, plans, budget, start, within, rank, -1)
     if status != "found":
         return SubgraphResult(status, None, nodes)
-    _verify_embedding(host, pattern.upper_edges(), mapping, within, forced_vertex)
+    _verify_embedding(rows, pattern.upper_edges(), mapping, within, forced_vertex)
     return SubgraphResult("found", mapping, nodes)

@@ -2,9 +2,11 @@
 
 contains_subgraph(host, P, within=mask) must answer as a search of the
 induced subgraph on the mask would, with and without a forced vertex, and
-max_f_free_subset (which calls it at the branch steps its memo of copies
-and free sets does not decide, and prunes with a packing of the copies it
-found) must find the exhaustive maximum.  Wherever the unpruned per-step
+max_f_free_subset (which runs the same forced search at the branch steps
+its memo of copies and free sets does not decide, and prunes with a
+packing of the copies it found) must find the exhaustive maximum.  Its
+per-step query must return the copy the forced contains_subgraph call
+returns.  Wherever the unpruned per-step
 search finishes, it must return that search's set in no more nodes; under
 a budget, a set at least as large, and an upper bound on the optimum.  A
 forced search keeps one anchor per automorphism orbit of the pattern.  The
@@ -31,7 +33,7 @@ from erdos_rogers import (
 )
 from erdos_rogers.graphs import bits, induced_subgraph
 from erdos_rogers.pipelines import _found_neighbourhoods
-from erdos_rogers.search import DEFAULT_SET_BUDGET
+from erdos_rogers.search import DEFAULT_SET_BUDGET, _forced_step
 from erdos_rogers.subgraph import (
     DEFAULT_BUDGET,
     _extension_masks,
@@ -145,6 +147,23 @@ def test_memoised_ffree_search_matches_per_step_search_seeded(seed, name):
     n = 16
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     assert_same_search(Graph(n, sorted(rnd.sample(pairs, rnd.randint(20, 60)))), name)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hosts(max_n=16), st.sampled_from(MEMO_PATTERNS + ["2k2"]), st.data())
+def test_forced_step_returns_the_copy_of_forced_containment(host, name, data):
+    # the search's direct step finds the copy the forced contains_subgraph
+    # call finds, so copies are found in the same order, and the packing
+    # bound and the node counts, which read that order, are the same
+    pattern = TWO_K2 if name == "2k2" else named_graph(name)
+    step = _forced_step(host, pattern)
+    for _ in range(4):
+        i = data.draw(st.integers(0, host.n - 1))
+        grown = data.draw(st.integers(0, host.full_mask())) | (1 << i)
+        res = contains_subgraph(host, pattern, forced_vertex=i, within=grown)
+        assert res.status in ("found", "absent")
+        copy = sum(1 << v for v in res.embedding) if res.found else 0
+        assert step(grown, i) == copy
 
 
 def seeded_host(label, n, m):
